@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from wiring_operads.simplex import Leaf, Node, Perm, Simplex
-from wiring_operads.uwd_presentation import UWDGenerator, generator_arity_u
+from wiring_operads.simplex import Leaf, Perm, Simplex, arity
+from wiring_operads.uwd_presentation import generator_arity_u
 from wiring_operads.wd_presentation import WDGenerator, generator_arity
 
 
@@ -42,20 +42,16 @@ class GeneratorAction:
         return fn(gen, *inputs)
 
 
+def require_box(element, box) -> None:
+    """Reject a carrier element whose color is not ``box``."""
+    if element.box != box:
+        raise ValueError(f"element of color {element.box} supplied where {box} expected")
+
+
 def _leaf_arity(gen) -> int:
     if isinstance(gen, WDGenerator):
         return generator_arity(gen)
-    if isinstance(gen, UWDGenerator):
-        return generator_arity_u(gen)
-    raise TypeError(f"not a generator: {gen!r}")
-
-
-def simplex_input_arity(simplex: Simplex) -> int:
-    if isinstance(simplex, Leaf):
-        return _leaf_arity(simplex.generator)
-    if isinstance(simplex, Perm):
-        return simplex_input_arity(simplex.inner)
-    return simplex_input_arity(simplex.left) + simplex_input_arity(simplex.right) - 1
+    return generator_arity_u(gen)
 
 
 def eval_structure_map(action: GeneratorAction, simplex: Simplex, inputs: Sequence):
@@ -66,7 +62,7 @@ def eval_structure_map(action: GeneratorAction, simplex: Simplex, inputs: Sequen
     action satisfies the generating axioms.
     """
     inputs = tuple(inputs)
-    need = simplex_input_arity(simplex)
+    need = arity(simplex, _leaf_arity)
     if len(inputs) != need:
         raise ValueError(f"expected {need} inputs, got {len(inputs)}")
 
@@ -75,7 +71,7 @@ def eval_structure_map(action: GeneratorAction, simplex: Simplex, inputs: Sequen
             return action.apply(s.generator, args)
         if isinstance(s, Perm):
             return go(s.inner, tuple(s.sigma.inverse().apply(list(args))))
-        k = simplex_input_arity(s.right)
+        k = arity(s.right, _leaf_arity)
         i = s.pos
         before, mid, after = args[: i - 1], args[i - 1 : i - 1 + k], args[i - 1 + k :]
         return go(s.left, before + (go(s.right, mid),) + after)

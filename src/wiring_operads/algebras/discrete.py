@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from wiring_operads.finset import Value, coproduct
-from wiring_operads.algebras.actions import GeneratorAction
+from wiring_operads.algebras.actions import GeneratorAction, require_box
 from wiring_operads.algebras.vectors import Vec
 from wiring_operads.wd import Box, EMPTY_BOX
 
@@ -120,7 +120,7 @@ def discrete_systems_action(alphabets: Mapping[Value, Sequence]) -> GeneratorAct
 
     def act_name_change(gen, ds: DiscreteSystem) -> DiscreteSystem:
         source, target, f_in, f_out = gen.params
-        _require_box(ds, source)
+        require_box(ds, source)
         f_in = dict(f_in)
         f_out = dict(f_out)
         readout = {
@@ -136,8 +136,8 @@ def discrete_systems_action(alphabets: Mapping[Value, Sequence]) -> GeneratorAct
 
     def act_two_cell(gen, dx: DiscreteSystem, dy: DiscreteSystem) -> DiscreteSystem:
         left, right = gen.params
-        _require_box(dx, left)
-        _require_box(dy, right)
+        require_box(dx, left)
+        require_box(dy, right)
         _, (in_l, in_r) = coproduct([left.inputs, right.inputs])
         _, (out_l, out_r) = coproduct([left.outputs, right.outputs])
         from wiring_operads.wd import box_coproduct
@@ -161,7 +161,7 @@ def discrete_systems_action(alphabets: Mapping[Value, Sequence]) -> GeneratorAct
 
     def act_loop(gen, ds: DiscreteSystem) -> DiscreteSystem:
         box, x_plus, x_minus = gen.params
-        _require_box(ds, box)
+        require_box(ds, box)
         smaller = box.remove(inputs=[x_minus], outputs=[x_plus])
         readout = {s: ds.readout[s].without(x_plus) for s in ds.states}
         update = {
@@ -173,7 +173,7 @@ def discrete_systems_action(alphabets: Mapping[Value, Sequence]) -> GeneratorAct
 
     def act_in_split(gen, ds: DiscreteSystem) -> DiscreteSystem:
         box, x1, x2 = gen.params
-        _require_box(ds, box)
+        require_box(ds, box)
         merged = Box(box.inputs.quotient([x1, x2]), box.outputs)
         update = {
             (vec, s): ds.update[(vec.merged({x1: vec[x1], x2: vec[x1]}), s)]
@@ -185,7 +185,7 @@ def discrete_systems_action(alphabets: Mapping[Value, Sequence]) -> GeneratorAct
     def act_out_split(gen, ds: DiscreteSystem) -> DiscreteSystem:
         box, y1, y2 = gen.params
         inner = Box(box.inputs, box.outputs.quotient([y1, y2]))
-        _require_box(ds, inner)
+        require_box(ds, inner)
         readout = {
             s: ds.readout[s].merged({y1: ds.readout[s][y1], y2: ds.readout[s][y1]})
             for s in ds.states
@@ -195,7 +195,7 @@ def discrete_systems_action(alphabets: Mapping[Value, Sequence]) -> GeneratorAct
     def act_wasted(gen, ds: DiscreteSystem) -> DiscreteSystem:
         box, y = gen.params
         inner = Box(box.inputs.remove([y]), box.outputs)
-        _require_box(ds, inner)
+        require_box(ds, inner)
         update = {
             (vec, s): ds.update[(vec.without(y), s)]
             for vec in input_space(box, alphabets)
@@ -224,11 +224,6 @@ def discrete_systems_action(alphabets: Mapping[Value, Sequence]) -> GeneratorAct
             WASTED_WIRE: act_wasted,
         }
     )
-
-
-def _require_box(ds: DiscreteSystem, box: Box) -> None:
-    if ds.box != box:
-        raise ValueError(f"system of color {ds.box} supplied where {box} expected")
 
 
 def random_discrete_system(

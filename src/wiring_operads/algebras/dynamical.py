@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from wiring_operads.finset import EMPTY, FinSet, coproduct
-from wiring_operads.algebras.actions import GeneratorAction
+from wiring_operads.algebras.actions import GeneratorAction, require_box
 from wiring_operads.wd import Box, EMPTY_BOX
 
 Arrays = Mapping[str, np.ndarray]
@@ -50,7 +50,7 @@ def ods_action() -> GeneratorAction:
 
     def act_name_change(gen, ods: EuclideanODS) -> EuclideanODS:
         source, target, f_in, f_out = gen.params
-        _require_box(ods, source)
+        require_box(ods, source)
         f_in, f_out = dict(f_in), dict(f_out)
 
         def field(state: Arrays, inp: Arrays) -> Arrays:
@@ -64,8 +64,8 @@ def ods_action() -> GeneratorAction:
 
     def act_two_cell(gen, ox: EuclideanODS, oy: EuclideanODS) -> EuclideanODS:
         left, right = gen.params
-        _require_box(ox, left)
-        _require_box(oy, right)
+        require_box(ox, left)
+        require_box(oy, right)
         _, (in_l, in_r) = coproduct([left.inputs, right.inputs])
         _, (out_l, out_r) = coproduct([left.outputs, right.outputs])
         shape, (st_l, st_r) = coproduct([ox.state_shape, oy.state_shape])
@@ -96,7 +96,7 @@ def ods_action() -> GeneratorAction:
 
     def act_loop(gen, ods: EuclideanODS) -> EuclideanODS:
         box, x_plus, x_minus = gen.params
-        _require_box(ods, box)
+        require_box(ods, box)
         smaller = box.remove(inputs=[x_minus], outputs=[x_plus])
 
         def field(state: Arrays, inp: Arrays) -> Arrays:
@@ -121,11 +121,6 @@ def ods_action() -> GeneratorAction:
             ONE_LOOP: act_loop,
         }
     )
-
-
-def _require_box(ods: EuclideanODS, box: Box) -> None:
-    if ods.box != box:
-        raise ValueError(f"system of color {ods.box} supplied where {box} expected")
 
 
 def sample_point(shape: FinSet, box: Box, rng) -> tuple[dict, dict]:

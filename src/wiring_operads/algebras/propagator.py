@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from wiring_operads.finset import Value, coproduct
-from wiring_operads.algebras.actions import GeneratorAction
+from wiring_operads.algebras.actions import GeneratorAction, require_box
 from wiring_operads.algebras.vectors import Vec
 from wiring_operads.wd import Box, EMPTY_BOX
 
@@ -178,7 +178,7 @@ def propagator_action(alphabets: Mapping[Value, PointedSet]) -> GeneratorAction:
 
     def act_name_change(gen, g: Propagator) -> Propagator:
         source, target, f_in, f_out = gen.params
-        _require_box(g, source)
+        require_box(g, source)
         f_in, f_out = dict(f_in), dict(f_out)
 
         def step(profile: Profile) -> Vec:
@@ -190,8 +190,8 @@ def propagator_action(alphabets: Mapping[Value, PointedSet]) -> GeneratorAction:
 
     def act_two_cell(gen, gx: Propagator, gy: Propagator) -> Propagator:
         left, right = gen.params
-        _require_box(gx, left)
-        _require_box(gy, right)
+        require_box(gx, left)
+        require_box(gy, right)
         _, (in_l, in_r) = coproduct([left.inputs, right.inputs])
         _, (out_l, out_r) = coproduct([left.outputs, right.outputs])
         from wiring_operads.wd import box_coproduct
@@ -208,12 +208,12 @@ def propagator_action(alphabets: Mapping[Value, PointedSet]) -> GeneratorAction:
 
     def act_loop(gen, g: Propagator) -> Propagator:
         box, x_plus, x_minus = gen.params
-        _require_box(g, box)
+        require_box(g, box)
         return loop_propagator(g, x_plus, x_minus)
 
     def act_in_split(gen, g: Propagator) -> Propagator:
         box, x1, x2 = gen.params
-        _require_box(g, box)
+        require_box(g, box)
         merged = Box(box.inputs.quotient([x1, x2]), box.outputs)
 
         def step(profile: Profile) -> Vec:
@@ -225,7 +225,7 @@ def propagator_action(alphabets: Mapping[Value, PointedSet]) -> GeneratorAction:
     def act_out_split(gen, g: Propagator) -> Propagator:
         box, y1, y2 = gen.params
         inner = Box(box.inputs, box.outputs.quotient([y1, y2]))
-        _require_box(g, inner)
+        require_box(g, inner)
 
         def step(profile: Profile) -> Vec:
             val = g.step(profile)
@@ -236,7 +236,7 @@ def propagator_action(alphabets: Mapping[Value, PointedSet]) -> GeneratorAction:
     def act_wasted(gen, g: Propagator) -> Propagator:
         box, y = gen.params
         inner = Box(box.inputs.remove([y]), box.outputs)
-        _require_box(g, inner)
+        require_box(g, inner)
 
         def step(profile: Profile) -> Vec:
             return g.step(tuple(entry.without(y) for entry in profile))
@@ -266,30 +266,6 @@ def propagator_action(alphabets: Mapping[Value, PointedSet]) -> GeneratorAction:
             WASTED_WIRE: act_wasted,
         }
     )
-
-
-def _require_box(g: Propagator, box: Box) -> None:
-    if g.box != box:
-        raise ValueError(f"propagator of color {g.box} supplied where {box} expected")
-
-
-def enumerate_profiles(
-    box: Box, alphabets: Mapping[Value, PointedSet], horizon: int
-) -> list[Profile]:
-    """Every input profile of length <= horizon (for small alphabets)."""
-    import itertools
-
-    wires = list(box.inputs)
-    entries = [
-        Vec(dict(zip(wires, combo)))
-        for combo in itertools.product(
-            *(alphabets[box.inputs.value(w)].elements for w in wires)
-        )
-    ]
-    out: list[Profile] = []
-    for n in range(horizon + 1):
-        out.extend(itertools.product(entries, repeat=n))
-    return out
 
 
 def sample_profiles(

@@ -149,8 +149,11 @@ def coproduct(parts: Sequence[FinSet]) -> tuple[FinSet, list["FinMap"]]:
 
     Identifiers are kept verbatim when possible; repeats across parts are
     disambiguated with the ``@k`` scheme.  The injections are jointly
-    bijective onto the result and value-compatible by construction.
+    bijective onto the result and value-compatible by construction.  A lone
+    part is its own coproduct, ``@k`` identifiers included.
     """
+    if len(parts) == 1:
+        return parts[0], [FinMap.identity(parts[0])]
     flat: list[tuple[str, Value]] = [p for part in parts for p in part.pairs]
     names = _fresh_names([e for e, _ in flat])
     result = FinSet(tuple((n, v) for n, (_, v) in zip(names, flat)))
@@ -174,16 +177,17 @@ class FinMap:
     table: Mapping[str, str] = field(compare=False)
 
     def __post_init__(self) -> None:
-        for x in self.source:
+        target = self.target.as_dict
+        for x, v in self.source.pairs:
             if x not in self.table:
                 raise ValueError(f"map is not total: missing {x!r}")
             y = self.table[x]
-            if y not in self.target:
+            if y not in target:
                 raise ValueError(f"map target {y!r} is not in the codomain")
-            if self.source.value(x) != self.target.value(y):
+            if v != target[y]:
                 raise ValueError(
-                    f"value mismatch: {x!r} has value {self.source.value(x)!r} "
-                    f"but {y!r} has value {self.target.value(y)!r}"
+                    f"value mismatch: {x!r} has value {v!r} "
+                    f"but {y!r} has value {target[y]!r}"
                 )
 
     def __call__(self, element: str) -> str:
@@ -218,58 +222,66 @@ class FinMap:
         return {self(x) for x in self.source}
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {i: i for i in items}
+def identify(fs: FinSet, pairs: Iterable[tuple[str, str]]) -> tuple[FinSet, dict[str, str]]:
+    """The quotient of ``fs`` by the equivalence relation generated by ``pairs``.
 
-    def find(self, a: str) -> str:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
+    Classes are found by union-find.  Each is represented by its least
+    member, which keeps its place in ``fs``; the returned table sends every
+    element to its representative.  Identified elements must share a value.
+    """
+    parent = {e: e for e in fs.elements}
+
+    def find(a: str) -> str:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
         return a
 
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
         if ra != rb:
-            self.parent[rb] = ra
-
-    def classes(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for i in self.parent:
-            out.setdefault(self.find(i), []).append(i)
-        return out
+            parent[rb] = ra
+    classes: dict[str, list[str]] = {}
+    for e in parent:
+        classes.setdefault(find(e), []).append(e)
+    values = fs.as_dict
+    rep_of: dict[str, str] = {}
+    for members in classes.values():
+        distinct = {values[m] for m in members}
+        if len(distinct) != 1:
+            raise ValueError(f"cannot identify elements of distinct values {distinct}")
+        rep = min(members)
+        for m in members:
+            rep_of[m] = rep
+    return FinSet(tuple(p for p in fs.pairs if rep_of[p[0]] == p[0])), rep_of
 
 
 def pushout(f: FinMap, g: FinMap) -> tuple[FinSet, FinMap, FinMap]:
     """Pushout of ``Y <-f- X -g-> Z`` in the category of valued finite sets.
 
-    The apex is ``(Y ⨿ Z) / {f(x) = g(x)}`` computed by union-find; each
-    class is represented by its lexicographically least member identifier
-    (identifiers taken from the coproduct, so the Y-side wins name clashes).
+    The apex is ``(Y ⨿ Z) / {f(x) = g(x)}``; each class is represented by
+    its lexicographically least member identifier (identifiers taken from
+    the coproduct, so the Y-side wins name clashes).
     """
     if f.source != g.source:
         raise ValueError("pushout legs must share a source")
     yz, (iy, iz) = coproduct([f.target, g.target])
-    uf = _UnionFind(yz.elements)
-    for x in f.source:
-        uf.union(iy(f(x)), iz(g(x)))
-    classes = uf.classes()
-    rep_of: dict[str, str] = {}
-    apex_pairs: list[tuple[str, Value]] = []
-    for members in classes.values():
-        values = {yz.value(m) for m in members}
-        if len(values) != 1:
-            raise ValueError(f"pushout identified elements of distinct values {values}")
-        rep = min(members)
-        for m in members:
-            rep_of[m] = rep
-    for e, v in yz.pairs:
-        if rep_of[e] == e:
-            apex_pairs.append((e, v))
-    apex = FinSet(tuple(apex_pairs))
+    apex, rep_of = identify(yz, ((iy(f(x)), iz(g(x))) for x in f.source))
     alpha = FinMap(f.target, apex, {y: rep_of[iy(y)] for y in f.target})
     beta = FinMap(g.target, apex, {z: rep_of[iz(z)] for z in g.target})
     return apex, alpha, beta
+
+
+def fresh_name(candidate: str, *taken: Iterable[str]) -> str:
+    """The first of ``candidate``, ``candidate.2``, ``candidate.3``, ... that
+    none of the ``taken`` collections contains."""
+    used = set().union(*taken)
+    name = candidate
+    k = 1
+    while name in used:
+        k += 1
+        name = f"{candidate}.{k}"
+    return name
 
 
 def mediating_map(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from wiring_operads.finset import FinSet, Value, _UnionFind, coproduct
+from wiring_operads.finset import FinSet, Value, coproduct, identify
 from wiring_operads.uwd import UWD, census, make_uwd
 from wiring_operads.wd import (
     Address,
@@ -61,15 +61,10 @@ def rho(wd: WiringDiagram) -> UWD:
             return supply_injs[addr[1]](addr[2])
         return supply_injs[n + 1](addr[1])
 
-    uf = _UnionFind(supply_fin.elements)
-    for d in wd.delay_nodes:
-        uf.union(supply_name(("dn", d)), supply_name(wd.supplier[("dn", d)]))
-    rep_of: dict[str, str] = {}
-    for members in uf.classes().values():
-        rep = min(members)
-        for m in members:
-            rep_of[m] = rep
-    cables = FinSet(tuple(p for p in supply_fin.pairs if rep_of[p[0]] == p[0]))
+    cables, rep_of = identify(
+        supply_fin,
+        ((supply_name(("dn", d)), supply_name(wd.supplier[("dn", d)])) for d in wd.delay_nodes),
+    )
 
     def cable_of(addr: Address) -> str:
         return rep_of[supply_name(addr)]
@@ -181,12 +176,6 @@ def lift_chi0(uwd: UWD) -> WiringDiagram:
     lifted = lift_rho(uwd)
     assert lifted.is_strict()
     return lifted
-
-
-def include(wd: WiringDiagram) -> WiringDiagram:
-    """The operad inclusions (strict into normal into general) are entrywise
-    identities; reinterpretation changes nothing."""
-    return wd
 
 
 def change_of_values(f: Callable[[Value], Value], diagram):

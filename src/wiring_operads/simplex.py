@@ -76,3 +76,34 @@ def chain(parts: Sequence[Simplex]) -> Simplex:
     for part in parts[1:]:
         out = Node(out, 1, part)
     return out
+
+
+def two_cell_tower(parts: Sequence, join: Callable, cell: Callable) -> list:
+    """The 2-cells that assemble the boxes ``parts`` into their coproduct.
+
+    The k-th 2-cell joins ``parts[k]`` to the coproduct of all later parts
+    (built by ``join``), so nesting each 2-cell into slot 2 of the one
+    before it has the coproduct of every part as its output box.
+    """
+    thetas = []
+    right = parts[-1] if parts else None
+    for k in reversed(range(len(parts) - 1)):
+        thetas.append(cell(parts[k], right))
+        if k:
+            right = join(parts[k], right)
+    thetas.reverse()
+    return thetas
+
+
+def tower_simplex(thetas: Sequence, nullary: Sequence) -> Simplex | None:
+    """The simplex of a 2-cell tower whose last slots are filled by the
+    nullary generators ``nullary``; None when both strings are empty."""
+    if not thetas:
+        return Leaf(nullary[0]) if nullary else None
+    out: Simplex = Leaf(thetas[-1])
+    for theta in reversed(thetas[:-1]):
+        out = Node(Leaf(theta), 2, out)
+    slot = len(thetas) + 2 - len(nullary)
+    for g in nullary:
+        out = Node(out, slot, Leaf(g))
+    return out

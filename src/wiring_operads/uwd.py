@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from wiring_operads.finset import EMPTY, FinSet, Permutation, Value, _UnionFind, coproduct
+from wiring_operads.finset import FinMap, FinSet, Permutation, Value, pushout
 from wiring_operads.wd import BoxMismatchError
 
 InWire = tuple[int, str]
@@ -121,8 +121,7 @@ def comp_i_u(phi: UWD, i: int, psi: UWD) -> UWD:
     """Substitute ``psi`` into the i-th input box of ``phi``.
 
     The composite cable set is the pushout of the two cable sets over the
-    shared box: classes are represented by their least member after the
-    left/right disjoint-union renaming.
+    shared box.
     """
     n = len(phi.input_boxes)
     if not 1 <= i <= n:
@@ -131,16 +130,11 @@ def comp_i_u(phi: UWD, i: int, psi: UWD) -> UWD:
         raise BoxMismatchError(
             f"output box of the inner diagram does not match input box {i}"
         )
-    merged, (inj_l, inj_r) = coproduct([phi.cables, psi.cables])
-    uf = _UnionFind(merged.elements)
-    for w in phi.input_boxes[i - 1]:
-        uf.union(inj_l(phi.input_solder[(i, w)]), inj_r(psi.output_solder[w]))
-    rep_of = {}
-    for members in uf.classes().values():
-        rep = min(members)
-        for m in members:
-            rep_of[m] = rep
-    cables = FinSet(tuple(p for p in merged.pairs if rep_of[p[0]] == p[0]))
+    box = phi.input_boxes[i - 1]
+    cables, left, right = pushout(
+        FinMap(box, phi.cables, {w: phi.input_solder[(i, w)] for w in box}),
+        FinMap(box, psi.cables, dict(psi.output_solder)),
+    )
 
     r = len(psi.input_boxes)
 
@@ -152,10 +146,10 @@ def comp_i_u(phi: UWD, i: int, psi: UWD) -> UWD:
     for (j, w), c in phi.input_solder.items():
         if j == i:
             continue
-        input_solder[(phi_index(j), w)] = rep_of[inj_l(c)]
+        input_solder[(phi_index(j), w)] = left(c)
     for (k, w), c in psi.input_solder.items():
-        input_solder[(i + k - 1, w)] = rep_of[inj_r(c)]
-    output_solder = {y: rep_of[inj_l(c)] for y, c in phi.output_solder.items()}
+        input_solder[(i + k - 1, w)] = right(c)
+    output_solder = {y: left(c) for y, c in phi.output_solder.items()}
     return UWD(boxes, phi.output_box, cables, input_solder, output_solder)
 
 

@@ -12,24 +12,39 @@ presentation
 evaluating to an equivalent diagram.  As on the directed side, quotients
 keep the first named wire and string orderings sort wire identifiers, so
 the normal form is deterministic.
+
+``stratify_u`` factors the diagram and expands each factor into one string:
+
+    uwd  = psi1 o psi2              split_psi
+    psi1 = phi1 o phi2              split_phi
+
+    psi2  2-cells and output wires  expand_cells_outputs
+    phi2  splits                    expand_splits
+    phi1  loops                     expand_loops_u
+
+The expansions run in that order, from the tower's box outwards, each
+starting on the box the previous one ended on; the leading name change
+(``wires_change_u``) then renames the last box to the output box.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from wiring_operads.finset import FinSet, Permutation, Value, coproduct
-from wiring_operads.simplex import Leaf, Node, Perm, Simplex, chain, evaluate, leaves
-from wiring_operads.uwd import (
-    UWD,
-    UndirectedWiringDiagram,
-    comp_i_u,
-    equivalent_u,
-    make_uwd,
-    permute_u,
-    unit_u,
+from wiring_operads.finset import FinSet, Permutation, Value, coproduct, fresh_name
+from wiring_operads.simplex import (
+    Leaf,
+    Node,
+    Perm,
+    Simplex,
+    chain,
+    evaluate,
+    leaves,
+    tower_simplex,
+    two_cell_tower,
 )
+from wiring_operads.uwd import UWD, comp_i_u, make_uwd, permute_u
 from wiring_operads.wd_presentation import InvalidParamsError
 
 EMPTY_CELL = "empty_cell"
@@ -430,22 +445,10 @@ class StratifiedUWD:
     def to_simplex(self) -> Simplex:
         if self.empty:
             return Leaf(empty_cell())
-        n_boxes = len(self.two_cells) + 1 - len(self.output_wires) if self.two_cells else (
-            0 if self.output_wires else 1
-        )
-        bottom: Simplex | None = None
-        if self.two_cells:
-            bottom = Leaf(self.two_cells[-1])
-            for theta in reversed(self.two_cells[:-1]):
-                bottom = Node(Leaf(theta), 2, bottom)
-            for omega in self.output_wires:
-                bottom = Node(bottom, n_boxes + 1, Leaf(omega))
-        elif self.output_wires:
-            (omega,) = self.output_wires
-            bottom = Leaf(omega)
         unary = [self.name_chg] if self.name_chg else []
         unary += list(self.loops) + list(self.splits)
         parts = [Leaf(g) for g in unary]
+        bottom = tower_simplex(self.two_cells, self.output_wires)
         if bottom is not None:
             parts.append(bottom)
         return chain(parts)
@@ -509,34 +512,32 @@ def split_phi(phi: UWD) -> tuple[UWD, UWD]:
         m, n = phi.cable_type(c)
         if m == 0 or (m, n) == (1, 0):
             raise ValueError("split_phi forbids cables without input wires and (1,0)-cables")
-    anchors: dict[str, str] = {}
-    for c in sorted(phi.cables):
-        fiber = sorted(w for (_, w) in phi.in_wires() if phi.input_solder[(1, w)] == c)
-        anchors[c] = fiber[0]
+    fibers: dict[str, list[str]] = {c: [] for c in phi.cables}
+    for (_, w), c in sorted(phi.input_solder.items()):
+        fibers[c].append(w)
+    anchors = {c: fibers[c][0] for c in phi.cables}
 
     # W: output wires, both wires of each (2,0)-cable, and +/- copies of the
     # non-anchor wires of the bigger cables.
     w_tags: list[tuple] = []
     w_values: list[Value] = []
     g2: dict[tuple, str] = {}
-    pair_of: dict[tuple, tuple] = {}
     for y in phi.output_box:
         c = phi.output_solder[y]
-        m, n = phi.cable_type(c)
         tag = ("b", y)
         w_tags.append(tag)
         w_values.append(phi.output_box.value(y))
         g2[tag] = anchors[c]
     for c in sorted(phi.cables):
         m, n = phi.cable_type(c)
-        fiber = sorted(w for (_, w) in phi.in_wires() if phi.input_solder[(1, w)] == c)
+        fiber = fibers[c]
         if (m, n) == (2, 0):
             for w in fiber:
                 tag = ("w", w)
                 w_tags.append(tag)
                 w_values.append(a_box.value(w))
                 g2[tag] = w
-        elif m + n >= 3 and not (m == 1 and n == 1):
+        elif m + n >= 3:
             for w in fiber[1:]:
                 plus, minus = ("p", w), ("m", w)
                 w_tags.append(plus)
@@ -545,7 +546,6 @@ def split_phi(phi: UWD) -> tuple[UWD, UWD]:
                 w_tags.append(minus)
                 w_values.append(a_box.value(w))
                 g2[minus] = anchors[c]
-                pair_of[plus] = minus
 
     names = [f"t{k}" for k in range(len(w_tags))]
     w_box = FinSet(tuple(zip(names, w_values)))
@@ -568,13 +568,13 @@ def split_phi(phi: UWD) -> tuple[UWD, UWD]:
         out1[y] = name_of[("b", y)]
     for c in sorted(phi.cables):
         m, n = phi.cable_type(c)
-        fiber = sorted(w for (_, w) in phi.in_wires() if phi.input_solder[(1, w)] == c)
+        fiber = fibers[c]
         if (m, n) == (2, 0):
             cable = name_of[("w", fiber[0])]
             cable_pairs.append((cable, phi.cables.value(c)))
             solder1[(1, name_of[("w", fiber[0])])] = cable
             solder1[(1, name_of[("w", fiber[1])])] = cable
-        elif m + n >= 3 and not (m == 1 and n == 1):
+        elif m + n >= 3:
             for w in fiber[1:]:
                 cable = name_of[("p", w)]
                 cable_pairs.append((cable, a_box.value(w)))
@@ -584,181 +584,102 @@ def split_phi(phi: UWD) -> tuple[UWD, UWD]:
     return phi1, phi2
 
 
-def expand_splits(phi2: UWD) -> tuple[list[UWDGenerator], dict[str, str]]:
+# -- the expansions --------------------------------------------------------
+#
+# As on the directed side, each expand_* lists its generators from the
+# outside in, starting from the box reached so far, given with ``wires``
+# (the factor's input-box wires as wires of that box), and returns the box
+# it ends on with the factor's output-box wires as wires of that end box.
+
+
+def wires_change_u(end: FinSet, box: FinSet, wires: Mapping[str, str]) -> UWDGenerator:
+    """The name change from ``end`` to ``box`` along ``box``'s wires in ``end``."""
+    return u_name_change(end, box, {wires[y]: y for y in box})
+
+
+def expand_cells_outputs(
+    psi2: UWD,
+) -> tuple[list[UWDGenerator], list[UWDGenerator], FinSet, dict[str, str]]:
+    """psi2 (inclusion cospan) as 2-cells over the boxes plus one 1-output
+    wire ``z<k>`` per cable that touches no input wire, in sorted order.
+
+    Returns the 2-cells, the output wires, the tower's output box and
+    psi2's output-box wires as wires of that box.
+    """
+    z_box = psi2.output_box
+    soldered = set(psi2.input_solder.values())
+    extra = sorted(w for w in z_box if w not in soldered)
+    singles = [FinSet(((f"z{k}", z_box.value(w)),)) for k, w in enumerate(extra)]
+    parts = list(psi2.input_boxes) + singles
+    tower, injs = coproduct(parts)
+    wires = {c: injs[i - 1](w) for (i, w), c in psi2.input_solder.items()}
+    n = len(psi2.input_boxes)
+    wires.update({w: injs[n + k](f"z{k}") for k, w in enumerate(extra)})
+    thetas = two_cell_tower(parts, lambda a, b: coproduct([a, b])[0], u_two_cell)
+    omegas = [output_wire(*single.pairs[0]) for single in singles]
+    return thetas, omegas, tower, wires
+
+
+def expand_splits(
+    phi2: UWD, start: FinSet, wires: Mapping[str, str]
+) -> tuple[list[UWDGenerator], FinSet, dict[str, str]]:
     """phi2 (identity input solder, surjective output solder) as iterated
-    splits, with the renaming from created wires to phi2's output wires."""
+    splits: each input wire is split once per further wire of its fiber."""
     a_box = phi2.input_boxes[0]
     fibers: dict[str, list[str]] = {w: [] for w in a_box}
     for y in phi2.output_box:
         fibers[phi2.output_solder[y]].append(y)
     gens: list[UWDGenerator] = []
-    renaming: dict[str, str] = {}
-    current = a_box
+    out: dict[str, str] = {}
+    current = start
     for a in sorted(fibers):
-        members = sorted(fibers[a])
-        renaming[a] = members[0]
-        names = [a]
-        for k, target in enumerate(members[1:], start=2):
-            fresh = _fresh(f"{a}.{k}", current, names)
-            names.append(fresh)
-            bigger = FinSet(current.pairs + ((fresh, a_box.value(a)),))
-            gens.append(u_split(bigger, a, fresh))
-            renaming[fresh] = target
-            current = bigger
-    return list(reversed(gens)), renaming
+        u = wires[a]
+        head, *rest = sorted(fibers[a])
+        out[head] = u
+        for k, target in enumerate(rest, start=2):
+            fresh = fresh_name(f"{u}.{k}", current)
+            current = FinSet(current.pairs + ((fresh, a_box.value(a)),))
+            gens.append(u_split(current, u, fresh))
+            out[target] = fresh
+    return gens[::-1], current, out
 
 
-def expand_loops_u(phi1: UWD) -> list[UWDGenerator]:
-    """phi1 (only (1,1)- and (2,0)-cables) as iterated loops."""
+def expand_loops_u(
+    phi1: UWD, start: FinSet, wires: Mapping[str, str]
+) -> tuple[list[UWDGenerator], FinSet, dict[str, str]]:
+    """phi1 (only (1,1)- and (2,0)-cables) as iterated loops, one per
+    (2,0)-cable in sorted order."""
+    fibers: dict[str, list[str]] = {c: [] for c in phi1.cables}
+    for (_, w), c in phi1.input_solder.items():
+        fibers[c].append(w)
+    outer = set(phi1.output_solder.values())
     gens: list[UWDGenerator] = []
-    current = phi1.input_boxes[0]
+    current = start
     for c in sorted(phi1.cables):
-        ins, outs = phi1.cable_fibers(c)
-        if (len(ins), len(outs)) == (2, 0):
-            (_, w1), (_, w2) = sorted(ins)
-            gens.append(u_loop(current, w1, w2))
-            current = current.remove([w1, w2])
-    return list(reversed(gens))
-
-
-def expand_cells_outputs(psi2: UWD) -> tuple[list[UWDGenerator], list[UWDGenerator]]:
-    """psi2 (inclusion cospan) as 2-cells over the boxes plus one 1-output
-    wire per cable that touches no input wire."""
-    extra = [
-        (w, psi2.output_box.value(w))
-        for w in psi2.output_box
-        if all(psi2.input_solder[iw] != w for iw in psi2.in_wires())
-    ]
-    parts = list(psi2.input_boxes) + [FinSet((p,)) for p in sorted(extra)]
-    thetas: list[UWDGenerator] = []
-    if len(parts) >= 2:
-        suffix = parts[-1]
-        rights = [suffix]
-        for b in reversed(parts[1:-1]):
-            suffix, _ = coproduct([b, suffix])
-            rights.append(suffix)
-        rights.reverse()
-        for k, right in enumerate(rights):
-            thetas.append(u_two_cell(parts[k], right))
-    omegas = [output_wire(w, v) for w, v in sorted(extra)]
-    return thetas, omegas
-
-
-def _fresh(candidate: str, box: FinSet, taken: Sequence[str]) -> str:
-    used = set(box.elements) | set(taken)
-    name = candidate
-    k = 1
-    while name in used:
-        k += 1
-        name = f"{candidate}.{k}"
-    return name
+        if c not in outer:
+            p1, p2 = (wires[w] for w in sorted(fibers[c]))
+            gens.append(u_loop(current, p1, p2))
+            current = current.remove([p1, p2])
+    out = {y: wires[fibers[c][0]] for y, c in phi1.output_solder.items()}
+    return gens[::-1], current, out
 
 
 def stratify_u(uwd: UWD) -> StratifiedUWD:
-    """A stratified presentation whose evaluation is equivalent to ``uwd``."""
-    if (
-        not uwd.input_boxes
-        and len(uwd.output_box) == 0
-        and len(uwd.cables) == 0
-    ):
+    """A stratified presentation whose evaluation is equivalent to ``uwd``:
+    the 2-cell tower, then the splits and loops expanded from its box
+    outwards, then one name change onto ``uwd``'s output box."""
+    if not uwd.input_boxes and len(uwd.output_box) == 0 and len(uwd.cables) == 0:
         return StratifiedUWD(empty=True)
 
     psi1, psi2 = split_psi(uwd)
     phi1, phi2 = split_phi(psi1)
-    n = len(uwd.input_boxes)
-
-    # Bottom: 2-cells over the boxes and the fresh output wires.
-    z_true = psi2.output_box
-    extra_wires = sorted(
-        (w, z_true.value(w))
-        for w in z_true
-        if all(psi2.input_solder[iw] != w for iw in psi2.in_wires())
-    )
-    singles = [FinSet(((f"z{k}", v),)) for k, (_, v) in enumerate(extra_wires)]
-    parts = list(uwd.input_boxes) + singles
-    thetas: list[UWDGenerator] = []
-    omegas = [output_wire(s.elements[0], s.pairs[0][1]) for s in singles]
-    if len(parts) >= 2:
-        suffix = parts[-1]
-        rights = [suffix]
-        for b in reversed(parts[1:-1]):
-            suffix, _ = coproduct([b, suffix])
-            rights.append(suffix)
-        rights.reverse()
-        for k, right in enumerate(rights):
-            thetas.append(u_two_cell(parts[k], right))
-        tower_box, tower_injs = coproduct(parts)
-    elif len(parts) == 1:
-        tower_box, tower_injs = coproduct(parts)
-    else:
-        tower_box, tower_injs = FinSet(()), []
-
-    # Map the true Z wires onto the tower's bottom box.
-    zeta: dict[str, str] = {}
-    for i, box in enumerate(uwd.input_boxes):
-        for w in box:
-            zeta[psi2.input_solder[(i + 1, w)]] = tower_injs[i](w)
-    for k, (w, _) in enumerate(extra_wires):
-        zeta[w] = tower_injs[n + k](singles[k].elements[0])
-
-    current = tower_box
-
-    # Splits (built from phi2's fibers, translated onto the tower).
-    split_gens: list[UWDGenerator] = []
-    zeta_w: dict[str, str] = {}  # phi1-box wire -> tower wire
-    a_box = phi2.input_boxes[0]
-    fibers: dict[str, list[str]] = {w: [] for w in a_box}
-    for y in phi2.output_box:
-        fibers[phi2.output_solder[y]].append(y)
-    for a in sorted(fibers):
-        members = sorted(fibers[a])
-        u = zeta[a]
-        zeta_w[members[0]] = u
-        for k, target in enumerate(members[1:], start=2):
-            fresh = _fresh(f"{u}.{k}", current, [])
-            bigger = FinSet(current.pairs + ((fresh, a_box.value(a)),))
-            split_gens.append(u_split(bigger, u, fresh))
-            zeta_w[target] = fresh
-            current = bigger
-    split_gens.reverse()
-
-    # Loops (one per (2,0)-cable of phi1).
-    loop_gens: list[UWDGenerator] = []
-    for c in sorted(phi1.cables):
-        ins, outs = phi1.cable_fibers(c)
-        if (len(ins), len(outs)) == (2, 0):
-            (_, w1), (_, w2) = sorted(ins)
-            p1, p2 = zeta_w[w1], zeta_w[w2]
-            loop_gens.append(u_loop(current, p1, p2))
-            current = current.remove([p1, p2])
-    loop_gens.reverse()
-
-    # Name change: the remaining tower wires are phi1's (1,1)-cables, one
-    # per output wire of the original diagram.
-    mapping = {zeta_w[_phi1_wire_for(phi1, y)]: y for y in uwd.output_box}
-    tau = u_name_change(current, uwd.output_box, mapping)
-
+    thetas, omegas, current, wires = expand_cells_outputs(psi2)
+    splits, current, wires = expand_splits(phi2, current, wires)
+    loops, current, wires = expand_loops_u(phi1, current, wires)
     return StratifiedUWD(
-        name_chg=tau,
-        loops=tuple(loop_gens),
-        splits=tuple(split_gens),
+        name_chg=wires_change_u(current, uwd.output_box, wires),
+        loops=tuple(loops),
+        splits=tuple(splits),
         two_cells=tuple(thetas),
         output_wires=tuple(omegas),
     )
-
-
-def _phi1_wire_for(phi1: UWD, y: str) -> str:
-    """The phi1 box wire soldered to the same cable as output wire y."""
-    cable = phi1.output_solder[y]
-    for (_, w) in phi1.in_wires():
-        if phi1.input_solder[(1, w)] == cable:
-            return w
-    raise KeyError(y)
-
-
-def random_usimplex(rng, max_leaves: int = 5) -> Simplex:
-    """A random small simplex for round-trip and algebra tests."""
-    from wiring_operads.uwd import random_uwd
-
-    uwd = random_uwd(rng)
-    return stratify_u(uwd).to_simplex()

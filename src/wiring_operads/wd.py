@@ -176,11 +176,6 @@ def permute(wd: WiringDiagram, sigma: Permutation) -> WiringDiagram:
         raise ValueError("permutation size does not match the number of input boxes")
     boxes = tuple(sigma.apply(list(wd.input_boxes)))
 
-    def read(addr: Address) -> Address:
-        if addr[0] in ("bin", "bout"):
-            return (addr[0], sigma(addr[1]), addr[2])
-        return addr
-
     inv = sigma.inverse()
 
     def write(addr: Address) -> Address:
@@ -189,7 +184,6 @@ def permute(wd: WiringDiagram, sigma: Permutation) -> WiringDiagram:
         return addr
 
     supplier = {write(dm): write(sp) for dm, sp in wd.supplier.items()}
-    del read
     return WiringDiagram(boxes, wd.output_box, wd.delay_nodes, supplier)
 
 
@@ -429,10 +423,7 @@ def random_wd(
     """
     tag = rng.randrange(10_000)
     if output_box is None:
-        if strict:
-            output_box = random_box(rng, max_wires, values)
-        else:
-            output_box = random_box(rng, max_wires, values)
+        output_box = random_box(rng, max_wires, values)
 
     if strict:
         # One internal out-wire per global output, one internal in-wire per

@@ -13,15 +13,41 @@ whose evaluation is equivalent to the input.  Quotient boxes keep the first
 named wire (the identified pair ``(x1, x2)`` collapses to ``x1``); the
 orderings of the generator strings are fixed by sorting wire identifiers, so
 the normal form is deterministic.
+
+``stratify`` factors the diagram and expands each factor into one string:
+
+    psi   = alpha o phi            split_alpha_phi
+    alpha = pi1 o pi2              split_pi
+    pi2   = beta1 o beta2 o beta3  split_beta
+
+    phi    2-cells and delay nodes  expand_cells_delays
+    beta3  out-splits               expand_outsplits
+    beta2  in-splits                expand_insplits
+    beta1  wasted wires             expand_wasted
+    pi1    loops                    expand_loops
+
+The expansions run in that order, from the tower's box X' outwards, each
+starting on the box the previous one ended on; the leading name change
+(``wires_change``) then renames the last box to psi's output box.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from wiring_operads.finset import EMPTY, FinSet, Permutation, Value, coproduct
-from wiring_operads.simplex import Leaf, Node, Perm, Simplex, chain, evaluate, leaves
+from wiring_operads.finset import EMPTY, FinSet, Permutation, Value, coproduct, fresh_name
+from wiring_operads.simplex import (
+    Leaf,
+    Node,
+    Perm,
+    Simplex,
+    chain,
+    evaluate,
+    leaves,
+    tower_simplex,
+    two_cell_tower,
+)
 from wiring_operads.wd import (
     Address,
     Box,
@@ -33,7 +59,6 @@ from wiring_operads.wd import (
     equivalent,
     make_wd,
     permute,
-    unit,
 )
 
 EMPTY_WD = "empty"
@@ -112,6 +137,11 @@ def generator_arity(gen: WDGenerator) -> int:
     return {EMPTY_WD: 0, DELAY_NODE: 0, TWO_CELL: 2}.get(gen.kind, 1)
 
 
+def _delay_box(value: Value) -> Box:
+    """The box of the delay-node generator of ``value``."""
+    return Box.of({value: value}, {value: value})
+
+
 def generator(gen: WDGenerator) -> WiringDiagram:
     """The literal wiring diagram of a generating datum."""
     if gen.kind == EMPTY_WD:
@@ -119,10 +149,9 @@ def generator(gen: WDGenerator) -> WiringDiagram:
 
     if gen.kind == DELAY_NODE:
         (value,) = gen.params
-        box = Box.of({value: value}, {value: value})
         return make_wd(
             [],
-            box,
+            _delay_box(value),
             FinSet.of({value: value}),
             {("gout", value): ("dn", value), ("dn", value): ("gin", value)},
         )
@@ -225,12 +254,6 @@ def generator(gen: WDGenerator) -> WiringDiagram:
 
 def eval_simplex(simplex: Simplex) -> WiringDiagram:
     return evaluate(simplex, generator, comp_i, permute)
-
-
-def simplex_arity(simplex: Simplex) -> int:
-    from wiring_operads.simplex import arity
-
-    return arity(simplex, generator_arity)
 
 
 # -- the twenty-eight elementary relations --------------------------------
@@ -716,21 +739,10 @@ class StratifiedWD:
         if self.external_form:
             parts = [Leaf(g) for g in self.wasted_then_empty] + [Leaf(empty_wd())]
             return chain(parts)
-        n_boxes = 0
-        bottom: Simplex | None = None
-        if self.two_cells:
-            bottom = Leaf(self.two_cells[-1])
-            for theta in reversed(self.two_cells[:-1]):
-                bottom = Node(Leaf(theta), 2, bottom)
-            n_boxes = len(self.two_cells) + 1 - len(self.delays)
-            for delta in self.delays:
-                bottom = Node(bottom, n_boxes + 1, Leaf(delta))
-        elif self.delays:
-            (delta,) = self.delays
-            bottom = Leaf(delta)
         unary = [self.name_chg] if self.name_chg else []
         unary += list(self.loops) + list(self.wasted) + list(self.in_splits) + list(self.out_splits)
         parts = [Leaf(g) for g in unary]
+        bottom = tower_simplex(self.two_cells, self.delays)
         if bottom is not None:
             parts.append(bottom)
         return chain(parts)
@@ -751,23 +763,24 @@ class StratifiedWD:
 
 def split_alpha_phi(psi: WiringDiagram) -> tuple[WiringDiagram, WiringDiagram]:
     """psi = alpha o phi: phi gathers the boxes and delay nodes behind an
-    identity supplier; alpha is unary, delay-free, and keeps psi's supplier."""
-    in_parts = [b.inputs for b in psi.input_boxes] + [psi.delay_nodes]
-    out_parts = [b.outputs for b in psi.input_boxes] + [psi.delay_nodes]
-    x_in, in_injs = coproduct(in_parts)
-    x_out, out_injs = coproduct(out_parts)
-    x_prime = Box(x_in, x_out)
+    identity supplier; alpha is unary, delay-free, and keeps psi's supplier.
+
+    The seam box X' is in tower coordinates: the box coproduct of psi's
+    boxes and one delay-node box ``{v: v}`` per delay node, in sorted order,
+    which is the output box of the 2-cell tower of ``expand_cells_delays``.
+    """
     n = len(psi.input_boxes)
+    slot = {d: n + k for k, d in enumerate(sorted(psi.delay_nodes))}
+    parts = list(psi.input_boxes) + [_delay_box(psi.delay_nodes.value(d)) for d in slot]
+    x_in, in_injs = coproduct([b.inputs for b in parts])
+    x_out, out_injs = coproduct([b.outputs for b in parts])
+    x_prime = Box(x_in, x_out)
 
-    def demand_to_prime(addr: Address) -> str:
-        if addr[0] == "bin":
-            return in_injs[addr[1] - 1](addr[2])
-        return in_injs[n](addr[1])  # delay node
-
-    def supply_to_prime(addr: Address) -> str:
-        if addr[0] == "bout":
-            return out_injs[addr[1] - 1](addr[2])
-        return out_injs[n](addr[1])
+    def to_prime(addr: Address, injs) -> str:
+        """The X' wire of a box or delay-node address."""
+        if addr[0] == "dn":
+            return injs[slot[addr[1]]](psi.delay_nodes.value(addr[1]))
+        return injs[addr[1] - 1](addr[2])
 
     phi_supplier: dict[Address, Address] = {}
     for i, box in enumerate(psi.input_boxes, start=1):
@@ -776,14 +789,14 @@ def split_alpha_phi(psi: WiringDiagram) -> tuple[WiringDiagram, WiringDiagram]:
         for x in box.inputs:
             phi_supplier[("bin", i, x)] = ("gin", in_injs[i - 1](x))
     for d in psi.delay_nodes:
-        phi_supplier[("gout", out_injs[n](d))] = ("dn", d)
-        phi_supplier[("dn", d)] = ("gin", in_injs[n](d))
+        phi_supplier[("gout", to_prime(("dn", d), out_injs))] = ("dn", d)
+        phi_supplier[("dn", d)] = ("gin", to_prime(("dn", d), in_injs))
     phi = make_wd(psi.input_boxes, x_prime, psi.delay_nodes, phi_supplier)
 
     def rewrap_supply(addr: Address) -> Address:
         if addr[0] == "gin":
             return addr
-        return ("bout", 1, supply_to_prime(addr))
+        return ("bout", 1, to_prime(addr, out_injs))
 
     alpha_supplier: dict[Address, Address] = {}
     for y in psi.output_box.outputs:
@@ -791,7 +804,7 @@ def split_alpha_phi(psi: WiringDiagram) -> tuple[WiringDiagram, WiringDiagram]:
     for dm in psi.demands():
         if dm[0] == "gout":
             continue
-        alpha_supplier[("bin", 1, demand_to_prime(dm))] = rewrap_supply(psi.supplier[dm])
+        alpha_supplier[("bin", 1, to_prime(dm, in_injs))] = rewrap_supply(psi.supplier[dm])
     alpha = make_wd([x_prime], psi.output_box, EMPTY, alpha_supplier)
     return alpha, phi
 
@@ -871,138 +884,131 @@ def split_beta(beta: WiringDiagram) -> tuple[WiringDiagram, WiringDiagram, Wirin
     return beta1, beta2, beta3
 
 
-def expand_loops(pi1: WiringDiagram) -> list[WDGenerator]:
-    """pi1 as an iterated composition of 1-loops, sorted by looped wire."""
-    y = pi1.output_box
-    z = pi1.input_boxes[0]
-    t_out = sorted(set(z.outputs.elements) - set(y.outputs.elements))
-    gens = []
-    current = y
-    for t in t_out:
-        paired_in = next(
-            w for w in z.inputs
-            if w not in current.inputs and pi1.supplier.get(("bin", 1, w)) == ("bout", 1, t)
-        )
-        bigger_in, _ = coproduct([current.inputs, z.inputs.restrict([paired_in])])
-        bigger_out, _ = coproduct([current.outputs, z.outputs.restrict([t])])
-        current = Box(bigger_in, bigger_out)
-        gens.append(one_loop(current, t, paired_in))
-    return gens
+# -- the expansions --------------------------------------------------------
+#
+# Each expand_* turns one factor into a string of generators, listed from
+# the outside in.  It starts from the box reached so far, given with
+# ``wires``: the factor's inner-box wires, inputs and outputs, as wires of
+# that box.  It returns the generators, the box it ends on and the factor's
+# outer-box wires as wires of that end box.
+
+Wires = tuple[dict[str, str], dict[str, str]]
 
 
-def expand_wasted(beta1: WiringDiagram) -> list[WDGenerator]:
-    """beta1 as an iterated composition of 1-wasted wires, sorted by wire."""
-    z = beta1.output_box
-    wasted = sorted(classify(beta1).external_wasted)
-    gens = []
-    current = z
-    for w in wasted:
-        gens.append(wasted_wire(current, w))
-        current = Box(current.inputs.remove([w]), current.outputs)
-    return gens
+def identity_wires(box: Box) -> Wires:
+    return {x: x for x in box.inputs}, {y: y for y in box.outputs}
 
 
-def expand_insplits(beta2: WiringDiagram) -> tuple[list[WDGenerator], dict[str, str]]:
-    """beta2 as iterated in-splits plus the output renaming they induce.
-
-    Merged wires keep the least member of each fiber, so the composite
-    equals beta2 only after renaming those representatives to beta2's
-    output-box wires; the mapping is returned alongside the generators.
-    """
-    w_box = beta2.output_box
-    v_box = beta2.input_boxes[0]
-    fibers: dict[str, list[str]] = {w: [] for w in w_box.inputs}
-    for x in v_box.inputs:
-        fibers[beta2.supplier[("bin", 1, x)][1]].append(x)
-    gens: list[WDGenerator] = []
-    renaming: dict[str, str] = {}
-    current = v_box
-    for w in sorted(fibers):
-        members = sorted(fibers[w])
-        head = members[0]
-        renaming[head] = w
-        for other in members[1:]:
-            gens.append(in_split(current, head, other))
-            current = Box(current.inputs.quotient([head, other]), current.outputs)
-    return list(reversed(gens)), renaming
-
-
-def expand_outsplits(beta3: WiringDiagram) -> tuple[list[WDGenerator], dict[str, str]]:
-    """beta3 as iterated out-splits plus the induced output renaming.
-
-    The fiber over each inner output wire is realized by splitting that wire
-    repeatedly; the first split copy keeps the inner name and the returned
-    mapping sends every created copy to the outer wire it stands for.
-    """
-    v_box = beta3.output_box
-    x_box = beta3.input_boxes[0]
-    fibers: dict[str, list[str]] = {x: [] for x in x_box.outputs}
-    for w in v_box.outputs:
-        fibers[beta3.supplier[("gout", w)][2]].append(w)
-    gens: list[WDGenerator] = []
-    renaming: dict[str, str] = {}
-    current = x_box
-    for x in sorted(fibers):
-        members = sorted(fibers[x])
-        renaming[x] = members[0]
-        names = [x]
-        for k, target in enumerate(members[1:], start=2):
-            fresh = _fresh_wire(f"{x}.{k}", current, names)
-            names.append(fresh)
-            bigger = Box(
-                current.inputs,
-                FinSet(current.outputs.pairs + ((fresh, x_box.outputs.value(x)),)),
-            )
-            gens.append(out_split(bigger, x, fresh))
-            renaming[fresh] = target
-            current = bigger
-    return list(reversed(gens)), renaming
-
-
-def _fresh_wire(candidate: str, box: Box, taken: Sequence[str]) -> str:
-    used = set(box.inputs.elements) | set(box.outputs.elements) | set(taken)
-    name = candidate
-    k = 1
-    while name in used:
-        k += 1
-        name = f"{candidate}.{k}"
-    return name
+def wires_change(end: Box, box: Box, wires: Wires) -> WDGenerator:
+    """The name change from ``end`` to ``box`` along ``box``'s wires in ``end``."""
+    ins, outs = wires
+    return name_change(end, box, {ins[x]: x for x in box.inputs}, {y: outs[y] for y in box.outputs})
 
 
 def expand_cells_delays(
     phi: WiringDiagram,
 ) -> tuple[list[WDGenerator], list[WDGenerator]]:
     """phi (boxes and delay nodes behind an identity supplier) as a string
-    of 2-cells over the boxes and one delay-node generator per node."""
-    boxes = list(phi.input_boxes)
+    of 2-cells over the boxes and one delay-node generator per node; the
+    tower's output box is phi's output box X'."""
     delay_values = [phi.delay_nodes.value(d) for d in sorted(phi.delay_nodes)]
-    parts = boxes + [
-        Box.of({v: v}, {v: v}) for v in delay_values
-    ]
-    thetas = []
-    if len(parts) >= 2:
-        suffix = parts[-1]
-        rights = [suffix]
-        for b in reversed(parts[1:-1]):
-            suffix = box_coproduct([b, suffix])
-            rights.append(suffix)
-        rights.reverse()
-        for k, right in enumerate(rights):
-            thetas.append(two_cell(parts[k], right))
-    deltas = [delay_node(v) for v in delay_values]
-    return thetas, deltas
+    parts = list(phi.input_boxes) + [_delay_box(v) for v in delay_values]
+    thetas = two_cell_tower(parts, lambda a, b: box_coproduct([a, b]), two_cell)
+    return thetas, [delay_node(v) for v in delay_values]
+
+
+def expand_outsplits(
+    beta3: WiringDiagram, start: Box, wires: Wires
+) -> tuple[list[WDGenerator], Box, Wires]:
+    """beta3 as iterated out-splits: each inner output wire is split once
+    per further wire of its fiber; the first wire of a fiber keeps it."""
+    ins, outs = wires
+    inner = beta3.input_boxes[0]
+    fibers: dict[str, list[str]] = {x: [] for x in inner.outputs}
+    for w in beta3.output_box.outputs:
+        fibers[beta3.supplier[("gout", w)][2]].append(w)
+    gens: list[WDGenerator] = []
+    out_map: dict[str, str] = {}
+    current = start
+    for x in sorted(fibers):
+        u = outs[x]
+        head, *rest = sorted(fibers[x])
+        out_map[head] = u
+        for k, target in enumerate(rest, start=2):
+            fresh = fresh_name(f"{u}.{k}", current.inputs, current.outputs)
+            value = inner.outputs.value(x)
+            current = Box(current.inputs, FinSet(current.outputs.pairs + ((fresh, value),)))
+            gens.append(out_split(current, u, fresh))
+            out_map[target] = fresh
+    return gens[::-1], current, (ins, out_map)
+
+
+def expand_insplits(
+    beta2: WiringDiagram, start: Box, wires: Wires
+) -> tuple[list[WDGenerator], Box, Wires]:
+    """beta2 as iterated in-splits: each demand fiber is merged into its
+    least wire, which then stands for the outer wire."""
+    ins, outs = wires
+    fibers: dict[str, list[str]] = {w: [] for w in beta2.output_box.inputs}
+    for x in beta2.input_boxes[0].inputs:
+        fibers[beta2.supplier[("bin", 1, x)][1]].append(ins[x])
+    gens: list[WDGenerator] = []
+    in_map: dict[str, str] = {}
+    current = start
+    for w in sorted(fibers):
+        head, *rest = sorted(fibers[w])
+        in_map[w] = head
+        for other in rest:
+            gens.append(in_split(current, head, other))
+            current = Box(current.inputs.quotient([head, other]), current.outputs)
+    return gens[::-1], current, (in_map, outs)
+
+
+def expand_wasted(
+    beta1: WiringDiagram, start: Box, wires: Wires
+) -> tuple[list[WDGenerator], Box, Wires]:
+    """beta1 as iterated 1-wasted wires, one fresh input per wasted wire."""
+    ins, outs = wires
+    in_map = dict(ins)
+    gens: list[WDGenerator] = []
+    current = start
+    for w in sorted(classify(beta1).external_wasted):
+        fresh = fresh_name(w, current.inputs, current.outputs)
+        value = beta1.output_box.inputs.value(w)
+        current = Box(FinSet(current.inputs.pairs + ((fresh, value),)), current.outputs)
+        gens.append(wasted_wire(current, fresh))
+        in_map[w] = fresh
+    return gens[::-1], current, (in_map, outs)
+
+
+def expand_loops(
+    pi1: WiringDiagram, start: Box, wires: Wires
+) -> tuple[list[WDGenerator], Box, Wires]:
+    """pi1 as iterated 1-loops, one per inner input fed by an inner output,
+    sorted by the output wire."""
+    ins, outs = wires
+    inner = pi1.input_boxes[0]
+    fed = {x: pi1.supplier[("bin", 1, x)] for x in inner.inputs}
+    gens: list[WDGenerator] = []
+    current = start
+    for t, x in sorted((sp[2], x) for x, sp in fed.items() if sp[0] == "bout"):
+        plus, minus = outs[t], ins[x]
+        gens.append(one_loop(current, plus, minus))
+        current = current.remove(inputs=[minus], outputs=[plus])
+    in_map = {sp[1]: ins[x] for x, sp in fed.items() if sp[0] == "gin"}
+    out_map = {y: outs[pi1.supplier[("gout", y)][2]] for y in pi1.output_box.outputs}
+    return gens[::-1], current, (in_map, out_map)
 
 
 def stratify(psi: WiringDiagram) -> StratifiedWD:
     """A stratified presentation of ``psi``.
 
     The result evaluates to a diagram equivalent to ``psi`` (delay nodes are
-    renamed by composition; the single leading name change absorbs the box
-    renamings produced by the generator constructions).
+    renamed by composition).  The factors of the splits are expanded from
+    the tower's box X' outwards; the single leading name change matches the
+    box they end on with psi's output box.
     """
-    n = len(psi.input_boxes)
-    r = len(psi.delay_nodes)
-    if n == 0 and r == 0:
+    if not psi.input_boxes and not psi.delay_nodes:
         gens = []
         current = psi.output_box
         for w in sorted(psi.output_box.inputs):
@@ -1015,123 +1021,14 @@ def stratify(psi: WiringDiagram) -> StratifiedWD:
     beta1, beta2, beta3 = split_beta(pi2)
 
     thetas, deltas = expand_cells_delays(phi)
-    if n + r == 1 and not thetas:
-        tower_box = phi.input_boxes[0] if n == 1 else generator(deltas[0]).output_box
-    else:
-        dn_sorted = sorted(phi.delay_nodes)
-        parts = list(phi.input_boxes) + [
-            Box.of({phi.delay_nodes.value(d): phi.delay_nodes.value(d)},
-                   {phi.delay_nodes.value(d): phi.delay_nodes.value(d)})
-            for d in dn_sorted
-        ]
-        tower_box = box_coproduct(parts)
-
-    # Wire correspondence from the true X' box to the tower's bottom box.
-    x_prime = phi.output_box
-    to_tower_in: dict[str, str] = {}
-    to_tower_out: dict[str, str] = {}
-    dn_sorted = sorted(phi.delay_nodes)
-    in_parts_true = [b.inputs for b in psi.input_boxes] + [psi.delay_nodes]
-    out_parts_true = [b.outputs for b in psi.input_boxes] + [psi.delay_nodes]
-    _, true_in_injs = coproduct(in_parts_true)
-    _, true_out_injs = coproduct(out_parts_true)
-    tower_in_parts = [b.inputs for b in psi.input_boxes] + [
-        FinSet.of({psi.delay_nodes.value(d): psi.delay_nodes.value(d)}) for d in dn_sorted
-    ]
-    tower_out_parts = [b.outputs for b in psi.input_boxes] + [
-        FinSet.of({psi.delay_nodes.value(d): psi.delay_nodes.value(d)}) for d in dn_sorted
-    ]
-    _, tower_in_injs = coproduct(tower_in_parts)
-    _, tower_out_injs = coproduct(tower_out_parts)
-    for i, box in enumerate(psi.input_boxes):
-        for w in box.inputs:
-            to_tower_in[true_in_injs[i](w)] = tower_in_injs[i](w)
-        for w in box.outputs:
-            to_tower_out[true_out_injs[i](w)] = tower_out_injs[i](w)
-    for k, d in enumerate(dn_sorted):
-        v = psi.delay_nodes.value(d)
-        to_tower_in[true_in_injs[n](d)] = tower_in_injs[n + k](v)
-        to_tower_out[true_out_injs[n](d)] = tower_out_injs[n + k](v)
-
-    current = tower_box
-
-    # Out-splits: split each inner output into its fiber of demanders.
-    out_gens: list[WDGenerator] = []
-    zeta_out: dict[str, str] = {}  # Z^out wire of pi2 -> tower wire
-    fibers_out: dict[str, list[str]] = {x: [] for x in x_prime.outputs}
-    for w in beta3.output_box.outputs:
-        fibers_out[beta3.supplier[("gout", w)][2]].append(w)
-    for x in sorted(fibers_out):
-        members = sorted(fibers_out[x])
-        u = to_tower_out[x]
-        zeta_out[members[0]] = u
-        for k, target in enumerate(members[1:], start=2):
-            fresh = _fresh_wire(f"{u}.{k}", current, [])
-            bigger = Box(
-                current.inputs,
-                FinSet(current.outputs.pairs + ((fresh, x_prime.outputs.value(x)),)),
-            )
-            out_gens.append(out_split(bigger, u, fresh))
-            zeta_out[target] = fresh
-            current = bigger
-    out_gens.reverse()
-
-    # In-splits: merge each demand fiber down to one wire.
-    in_gens: list[WDGenerator] = []
-    zeta_in: dict[str, str] = {}  # Z^in wire of pi2 -> tower wire
-    fibers_in: dict[str, list[str]] = {w: [] for w in beta2.output_box.inputs}
-    for x in x_prime.inputs:
-        fibers_in[beta2.supplier[("bin", 1, x)][1]].append(x)
-    for z_wire in sorted(fibers_in):
-        members = sorted(to_tower_in[x] for x in fibers_in[z_wire])
-        head = members[0]
-        zeta_in[z_wire] = head
-        for other in members[1:]:
-            in_gens.append(in_split(current, head, other))
-            current = Box(current.inputs.quotient([head, other]), current.outputs)
-    in_gens.reverse()
-
-    # Wasted wires: add the externally unused global inputs of pi2.
-    wasted_gens: list[WDGenerator] = []
-    for z_wire in sorted(classify(pi2).external_wasted):
-        fresh = _fresh_wire(z_wire, current, [])
-        value = pi2.output_box.inputs.value(z_wire)
-        current = Box(FinSet(current.inputs.pairs + ((fresh, value),)), current.outputs)
-        wasted_gens.append(wasted_wire(current, fresh))
-        zeta_in[z_wire] = fresh
-    wasted_gens.reverse()
-
-    # Loops: close each internal wasted wire and loop element.  The in/out
-    # pairing of the seam wires is recorded in pi1's identity supplier.
-    loop_gens: list[WDGenerator] = []
-    z_of_pi = pi1.input_boxes[0]
-    t_out = sorted(set(z_of_pi.outputs.elements) - set(pi1.output_box.outputs.elements))
-    for t in t_out:
-        partner = next(
-            w for w in z_of_pi.inputs
-            if pi1.supplier[("bin", 1, w)] == ("bout", 1, t)
-        )
-        plus = zeta_out[t]
-        minus = zeta_in[partner]
-        loop_gens.append(one_loop(current, plus, minus))
-        current = Box(current.inputs.remove([minus]), current.outputs.remove([plus]))
-    loop_gens.reverse()
-
-    # The leading name change: current ~ psi's output box, matched through
-    # pi1's supplier and the tracked tower wires.
-    f_in = {}
-    for w in z_of_pi.inputs:
-        target = pi1.supplier[("bin", 1, w)]
-        if target[0] == "gin":
-            f_in[zeta_in[w]] = target[1]
-    f_out = {}
-    for y in psi.output_box.outputs:
-        f_out[y] = zeta_out[pi1.supplier[("gout", y)][2]]
-    tau = name_change(current, psi.output_box, f_in, f_out)
-
+    current, wires = phi.output_box, identity_wires(phi.output_box)
+    out_gens, current, wires = expand_outsplits(beta3, current, wires)
+    in_gens, current, wires = expand_insplits(beta2, current, wires)
+    wasted_gens, current, wires = expand_wasted(beta1, current, wires)
+    loop_gens, current, wires = expand_loops(pi1, current, wires)
     return StratifiedWD(
         external_form=False,
-        name_chg=tau,
+        name_chg=wires_change(current, psi.output_box, wires),
         loops=tuple(loop_gens),
         wasted=tuple(wasted_gens),
         in_splits=tuple(in_gens),

@@ -13,6 +13,7 @@ from wiring_operads.uwd_presentation import (
     U_SPLIT,
     U_TWO_CELL,
     InvalidParamsError,
+    StratifiedUWD,
     elementary_relation_u,
     empty_cell,
     eval_simplex_u,
@@ -28,7 +29,7 @@ from wiring_operads.uwd_presentation import (
     u_loop,
     u_split,
     u_two_cell,
-    stratify_u,
+    wires_change_u,
 )
 from tests.test_uwd_core import first_picture
 
@@ -176,6 +177,14 @@ def test_split_phi_contract():
         assert {phi2.output_solder[y] for y in phi2.output_box} == set(a_box.elements)
 
 
+def _expanded_u(gens, end, box, wires):
+    """An expansion's composite, renamed onto the factor's output box."""
+    built = generator_u(wires_change_u(end, box, wires))
+    for g in gens:
+        built = comp_i_u(built, 1, generator_u(g))
+    return built
+
+
 def test_expand_pieces():
     rng = random.Random(23)
     for _ in range(25):
@@ -183,27 +192,22 @@ def test_expand_pieces():
         psi1, psi2 = split_psi(uwd)
         phi1, phi2 = split_phi(psi1)
 
-        loops = expand_loops_u(phi1)
-        if loops:
-            built = generator_u(loops[0])
-            for g in loops[1:]:
-                built = comp_i_u(built, 1, generator_u(g))
-            # Same shape: a name change away from phi1.
-            assert census(built) == census(phi1)
-            assert len(built.output_box) == len(phi1.output_box)
+        for piece, expand in ((phi1, expand_loops_u), (phi2, expand_splits)):
+            inner = piece.input_boxes[0]
+            gens, end, wires = expand(piece, inner, {w: w for w in inner})
+            assert equivalent_u(_expanded_u(gens, end, piece.output_box, wires), piece)
 
-        gens, renaming = expand_splits(phi2)
-        if gens:
-            built = generator_u(gens[0])
-            for g in gens[1:]:
-                built = comp_i_u(built, 1, generator_u(g))
-            relabeled = {renaming.get(w, w) for w in built.output_box}
-            assert relabeled == set(phi2.output_box.elements)
-
-        thetas, omegas = expand_cells_outputs(psi2)
+        thetas, omegas, tower, wires = expand_cells_outputs(psi2)
         assert len(omegas) == sum(
             1 for c in psi2.cables if psi2.cable_type(c) == (0, 1)
         )
+        if psi2.input_boxes or omegas:
+            cells = StratifiedUWD(
+                name_chg=wires_change_u(tower, psi2.output_box, wires),
+                two_cells=tuple(thetas),
+                output_wires=tuple(omegas),
+            )
+            assert equivalent_u(eval_simplex_u(cells.to_simplex()), psi2)
 
 
 def test_stratify_empty_cell():
@@ -239,3 +243,10 @@ def test_stratify_round_trip_random():
         uwd = random_uwd(rng)
         strat = stratify_u(uwd)
         assert equivalent_u(eval_simplex_u(strat.to_simplex()), uwd)
+
+
+def test_stratify_keeps_a_lone_box_with_coproduct_names():
+    # A box left over from a coproduct may carry an @-renamed wire alone.
+    box = FinSet((("x@2", "a"),))
+    uwd = make_uwd([box], FinSet.of({"p": "a"}), FinSet.of({"c": "a"}), {(1, "x@2"): "c"}, {"p": "c"})
+    assert equivalent_u(eval_simplex_u(stratify_u(uwd).to_simplex()), uwd)

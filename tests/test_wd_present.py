@@ -13,6 +13,7 @@ from wiring_operads.wd_presentation import (
     RELATION_IDS,
     TWO_CELL,
     InvalidParamsError,
+    StratifiedWD,
     delay_node,
     elementary_relation,
     empty_wd,
@@ -24,6 +25,7 @@ from wiring_operads.wd_presentation import (
     expand_wasted,
     generator,
     identity_change,
+    identity_wires,
     in_split,
     one_loop,
     out_split,
@@ -34,6 +36,7 @@ from wiring_operads.wd_presentation import (
     stratify,
     two_cell,
     wasted_wire,
+    wires_change,
 )
 from tests.test_wd_core import first_example
 
@@ -144,6 +147,14 @@ def test_split_pi_and_beta_contract():
         done += 1
 
 
+def _expanded(gens, end, box, wires):
+    """An expansion's composite, renamed onto the factor's outer box."""
+    built = generator(wires_change(end, box, wires))
+    for g in gens:
+        built = comp_i(built, 1, generator(g))
+    return built
+
+
 def test_expand_pieces_reproduce_their_diagrams():
     rng = random.Random(13)
     from wiring_operads.wd import random_wd
@@ -155,33 +166,25 @@ def test_expand_pieces_reproduce_their_diagrams():
         pi1, pi2 = split_pi(alpha)
         beta1, beta2, beta3 = split_beta(pi2)
 
-        loops = expand_loops(pi1)
-        built = unit(pi1.output_box)
-        for g in loops:
-            built = comp_i(built, 1, generator(g))
-        assert built == pi1
+        for piece, expand in (
+            (pi1, expand_loops),
+            (beta1, expand_wasted),
+            (beta2, expand_insplits),
+            (beta3, expand_outsplits),
+        ):
+            inner = piece.input_boxes[0]
+            gens, end, wires = expand(piece, inner, identity_wires(inner))
+            assert _expanded(gens, end, piece.output_box, wires) == piece
 
-        wasted = expand_wasted(beta1)
-        built = unit(beta1.output_box)
-        for g in wasted:
-            built = comp_i(built, 1, generator(g))
-        assert built == beta1
-
-        gens, renaming = expand_insplits(beta2)
-        if gens:
-            built = generator(gens[0])
-            for g in gens[1:]:
-                built = comp_i(built, 1, generator(g))
-            relabeled = {renaming.get(w, w) for w in built.output_box.inputs}
-            assert relabeled == set(beta2.output_box.inputs.elements)
-
-        gens, renaming = expand_outsplits(beta3)
-        if gens:
-            built = generator(gens[0])
-            for g in gens[1:]:
-                built = comp_i(built, 1, generator(g))
-            relabeled = {renaming.get(w, w) for w in built.output_box.outputs}
-            assert relabeled == set(beta3.output_box.outputs.elements)
+        if phi.input_boxes or phi.delay_nodes:
+            thetas, deltas = expand_cells_delays(phi)
+            cells = StratifiedWD(
+                external_form=False,
+                name_chg=identity_change(phi.output_box),
+                two_cells=tuple(thetas),
+                delays=tuple(deltas),
+            )
+            assert equivalent(eval_simplex(cells.to_simplex()), phi)
         done += 1
 
 
@@ -269,3 +272,13 @@ def test_stratify_strict_uses_strict_leaves_only():
         strat = stratify(psi)
         assert strat.leaf_kinds() <= {EMPTY_WD, NAME_CHANGE, TWO_CELL, ONE_LOOP}
         assert equivalent(eval_simplex(strat.to_simplex()), psi)
+
+
+def test_stratify_keeps_a_lone_box_with_coproduct_names():
+    # A box left over from a coproduct may carry an @-renamed wire alone.
+    box = Box(FinSet((("x@2", "a"),)), FinSet((("y", "a"),)))
+    out = Box.of({"p": "a"}, {"q": "a"})
+    psi = make_wd(
+        [box], out, EMPTY, {("gout", "q"): ("bout", 1, "y"), ("bin", 1, "x@2"): ("gin", "p")}
+    )
+    assert equivalent(eval_simplex(stratify(psi).to_simplex()), psi)
