@@ -4,24 +4,31 @@ A propagator of type X is a function from finite sequences of input-wire
 assignments to sequences of output-wire assignments that is one entry
 longer, with the earlier output entries depending only on the earlier
 inputs (historicity).  Such a function is equivalently given by a step
-function from input prefixes to single output entries, which is how
-propagators are stored here.
+function from input prefixes to single output entries, or by a stream:
+output entry 0 together with a feed that takes input entry k and returns
+output entry k + 1, advancing a private state one entry at a time.
 
-The loop action feeds a propagator's own looped output back with a one-step
-delay; it is computed by the mutual recursion of the looped propagator with
-its feedback history, memoized per input prefix.
+A propagator given by a step function streams by calling it once per
+prefix.  The eight generating structure maps build streams from the
+streams of their inputs: a loop feeds its last looped output back in as
+the next input, which the paper's one-step delay makes well founded, so
+a composite advances each leaf once per time step and its run is linear
+in the horizon.  A composite still answers ``step`` by resuming its last
+run when the prefix extends the one it last saw.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from wiring_operads.finset import Value, coproduct
 from wiring_operads.algebras.actions import GeneratorAction, require_box
 from wiring_operads.algebras.vectors import Vec
-from wiring_operads.wd import Box, EMPTY_BOX
+from wiring_operads.wd import Box, EMPTY_BOX, box_coproduct
 
 Profile = tuple[Vec, ...]
+Feed = Callable[[Vec], Vec]
+Stream = tuple[Vec, Feed]
 
 
 @dataclass(frozen=True)
@@ -36,14 +43,40 @@ class PointedSet:
 
 @dataclass(frozen=True)
 class Propagator:
-    """A length-incrementing, history-respecting profile function."""
+    """A length-incrementing, history-respecting profile function.
+
+    ``step`` returns the output entry that follows an input prefix.
+    ``start``, when given, begins a fresh run of the same function and
+    returns its output entry 0 and its feed; see ``Propagator.streaming``.
+    """
 
     box: Box
     step: Callable[[Profile], Vec]
+    start: Callable[[], Stream] | None = field(default=None, compare=False, repr=False)
+
+    @staticmethod
+    def streaming(box: Box, start: Callable[[], Stream]) -> Propagator:
+        """The propagator whose runs ``start`` begins; its ``step`` resumes
+        the last run whenever the prefix extends the one it last saw."""
+        return Propagator(box, _resuming_step(start), start)
+
+    def stream(self) -> Stream:
+        """Output entry 0 and a feed from input entry k to output entry k + 1."""
+        if self.start is not None:
+            return self.start()
+        step = self.step
+        prefix: Profile = ()
+
+        def feed(entry: Vec) -> Vec:
+            nonlocal prefix
+            prefix += (entry,)
+            return step(prefix)
+
+        return step(()), feed
 
     def __call__(self, profile: Sequence[Vec]) -> Profile:
-        profile = tuple(profile)
-        return tuple(self.step(profile[:k]) for k in range(len(profile) + 1))
+        first, feed = self.stream()
+        return (first, *(feed(entry) for entry in profile))
 
     def check_historicity(self, profiles: Sequence[Profile]) -> bool:
         """Length shift and prefix stability on the sampled profiles."""
@@ -56,102 +89,48 @@ class Propagator:
         return True
 
 
+def _resuming_step(start: Callable[[], Stream]) -> Callable[[Profile], Vec]:
+    """A step function over ``start``'s runs that keeps the last run and
+    feeds it only the entries a longer prefix adds; any other prefix
+    restarts.  A feed that raises leaves no run to resume."""
+    seen: Profile = ()
+    last: Vec | None = None
+    feed: Feed | None = None
+
+    def step(profile: Profile) -> Vec:
+        nonlocal seen, last, feed
+        done = len(seen)
+        if feed is None or profile[:done] != seen:
+            (last, feed), done = start(), 0
+        run, feed = feed, None
+        for entry in profile[done:]:
+            last = run(entry)
+        seen, feed = profile, run
+        return last
+
+    return step
+
+
 def propagators_agree(p: Propagator, q: Propagator, profiles: Sequence[Profile]) -> bool:
     """Extensional equality over a finite battery of input profiles."""
     return p.box == q.box and all(p(t) == q(t) for t in profiles)
 
 
-def feedback_history(g: Propagator, x_plus: str, x_minus: str) -> Callable[[Profile], tuple]:
-    """The looped-output history: the sequence of values the loop wire
-    carries when the loop is closed with a one-step delay."""
-    if x_plus not in g.box.outputs or x_minus not in g.box.inputs:
-        raise ValueError("loop wires must be an output and an input of the box")
-    memo: dict[Profile, tuple] = {}
-
-    def history(profile: Profile) -> tuple:
-        if profile in memo:
-            return memo[profile]
-        if not profile:
-            out = (g.step(())[x_plus],)
-        else:
-            prev = history(profile[:-1])
-            paired = tuple(
-                entry.merged({x_minus: prev[k]}) for k, entry in enumerate(profile)
-            )
-            out = tuple(g.step(paired[:k])[x_plus] for k in range(len(profile) + 1))
-        memo[profile] = out
-        return out
-
-    return history
-
-
-def loop_propagator(g: Propagator, x_plus: str, x_minus: str) -> Propagator:
-    """Close the loop from output ``x_plus`` back into input ``x_minus``."""
-    history = feedback_history(g, x_plus, x_minus)
-    smaller = g.box.remove(inputs=[x_minus], outputs=[x_plus])
-
-    def step(profile: Profile) -> Vec:
-        if not profile:
-            return g.step(()).without(x_plus)
-        prev = history(profile[:-1])
-        paired = tuple(
-            entry.merged({x_minus: prev[k]}) for k, entry in enumerate(profile)
-        )
-        return g.step(paired).without(x_plus)
-
-    return Propagator(smaller, step)
-
-
-def double_feedback_history(
-    g: Propagator, pair1: tuple[str, str], pair2: tuple[str, str]
-) -> Callable[[Profile], tuple]:
-    """The joint feedback history of a double loop, as assignments keyed by
-    the two looped output wires."""
-    (p1, m1), (p2, m2) = pair1, pair2
-    memo: dict[Profile, tuple] = {}
-
-    def history(profile: Profile) -> tuple:
-        if profile in memo:
-            return memo[profile]
-        if not profile:
-            first = g.step(())
-            out = (Vec({p1: first[p1], p2: first[p2]}),)
-        else:
-            prev = history(profile[:-1])
-            paired = tuple(
-                entry.merged({m1: prev[k][p1], m2: prev[k][p2]})
-                for k, entry in enumerate(profile)
-            )
-            out = tuple(
-                Vec({p1: g.step(paired[:k])[p1], p2: g.step(paired[:k])[p2]})
-                for k in range(len(profile) + 1)
-            )
-        memo[profile] = out
-        return out
-
-    return history
-
-
-def double_loop_propagator(
-    g: Propagator, pair1: tuple[str, str], pair2: tuple[str, str]
+def _mapped(
+    g: Propagator, box: Box, inward: Callable[[Vec], Vec], outward: Callable[[Vec], Vec]
 ) -> Propagator:
-    """Close two loops simultaneously (the two-at-once recursion, against
-    which the iterated single loops are checked)."""
-    (p1, m1), (p2, m2) = pair1, pair2
-    history = double_feedback_history(g, pair1, pair2)
-    smaller = g.box.remove(inputs=[m1, m2], outputs=[p1, p2])
+    """``g`` on ``box``: each input entry passes through ``inward`` and each
+    output entry through ``outward``."""
 
-    def step(profile: Profile) -> Vec:
-        if not profile:
-            return g.step(()).without(p1, p2)
-        prev = history(profile[:-1])
-        paired = tuple(
-            entry.merged({m1: prev[k][p1], m2: prev[k][p2]})
-            for k, entry in enumerate(profile)
-        )
-        return g.step(paired).without(p1, p2)
+    def start() -> Stream:
+        first, feed = g.stream()
+        return outward(first), lambda entry: outward(feed(inward(entry)))
 
-    return Propagator(smaller, step)
+    return Propagator.streaming(box, start)
+
+
+def _same(entry: Vec) -> Vec:
+    return entry
 
 
 def propagator_action(alphabets: Mapping[Value, PointedSet]) -> GeneratorAction:
@@ -162,31 +141,25 @@ def propagator_action(alphabets: Mapping[Value, PointedSet]) -> GeneratorAction:
     """
 
     def act_empty(gen) -> Propagator:
-        return Propagator(EMPTY_BOX, lambda profile: Vec({}))
+        empty = Vec({})
+        return Propagator.streaming(EMPTY_BOX, lambda: (empty, lambda entry: empty))
 
     def act_delay(gen) -> Propagator:
         (value,) = gen.params
-        base = alphabets[value].base
+        first = Vec({value: alphabets[value].base})
         box = Box.of({value: value}, {value: value})
-
-        def step(profile: Profile) -> Vec:
-            if not profile:
-                return Vec({value: base})
-            return Vec({value: profile[-1][value]})
-
-        return Propagator(box, step)
+        return Propagator.streaming(box, lambda: (first, lambda entry: Vec({value: entry[value]})))
 
     def act_name_change(gen, g: Propagator) -> Propagator:
         source, target, f_in, f_out = gen.params
         require_box(g, source)
         f_in, f_out = dict(f_in), dict(f_out)
-
-        def step(profile: Profile) -> Vec:
-            inner = tuple(Vec({x: entry[f_in[x]] for x in source.inputs}) for entry in profile)
-            val = g.step(inner)
-            return Vec({y: val[f_out[y]] for y in target.outputs})
-
-        return Propagator(target, step)
+        return _mapped(
+            g,
+            target,
+            lambda entry: Vec({x: entry[f_in[x]] for x in source.inputs}),
+            lambda val: Vec({y: val[f_out[y]] for y in target.outputs}),
+        )
 
     def act_two_cell(gen, gx: Propagator, gy: Propagator) -> Propagator:
         left, right = gen.params
@@ -194,54 +167,59 @@ def propagator_action(alphabets: Mapping[Value, PointedSet]) -> GeneratorAction:
         require_box(gy, right)
         _, (in_l, in_r) = coproduct([left.inputs, right.inputs])
         _, (out_l, out_r) = coproduct([left.outputs, right.outputs])
-        from wiring_operads.wd import box_coproduct
+        in_l, in_r, out_l, out_r = in_l.table, in_r.table, out_l.table, out_r.table
 
-        def step(profile: Profile) -> Vec:
-            px = tuple(Vec({x: entry[in_l(x)] for x in left.inputs}) for entry in profile)
-            py = tuple(Vec({y: entry[in_r(y)] for y in right.inputs}) for entry in profile)
-            vx, vy = gx.step(px), gy.step(py)
-            out = {out_l(w): vx[w] for w in left.outputs}
-            out.update({out_r(w): vy[w] for w in right.outputs})
+        def joined(vx: Vec, vy: Vec) -> Vec:
+            out = {out_l[w]: vx[w] for w in left.outputs}
+            out.update({out_r[w]: vy[w] for w in right.outputs})
             return Vec(out)
 
-        return Propagator(box_coproduct([left, right]), step)
+        def start() -> Stream:
+            first_x, feed_x = gx.stream()
+            first_y, feed_y = gy.stream()
+
+            def feed(entry: Vec) -> Vec:
+                vx = feed_x(Vec({x: entry[in_l[x]] for x in left.inputs}))
+                vy = feed_y(Vec({y: entry[in_r[y]] for y in right.inputs}))
+                return joined(vx, vy)
+
+            return joined(first_x, first_y), feed
+
+        return Propagator.streaming(box_coproduct([left, right]), start)
 
     def act_loop(gen, g: Propagator) -> Propagator:
         box, x_plus, x_minus = gen.params
         require_box(g, box)
-        return loop_propagator(g, x_plus, x_minus)
+
+        def start() -> Stream:
+            first, inner = g.stream()
+            looped = first[x_plus]
+
+            def feed(entry: Vec) -> Vec:
+                nonlocal looped
+                val = inner(entry.merged({x_minus: looped}))
+                looped = val[x_plus]
+                return val.without(x_plus)
+
+            return first.without(x_plus), feed
+
+        return Propagator.streaming(box.remove(inputs=[x_minus], outputs=[x_plus]), start)
 
     def act_in_split(gen, g: Propagator) -> Propagator:
         box, x1, x2 = gen.params
         require_box(g, box)
         merged = Box(box.inputs.quotient([x1, x2]), box.outputs)
-
-        def step(profile: Profile) -> Vec:
-            widened = tuple(entry.merged({x1: entry[x1], x2: entry[x1]}) for entry in profile)
-            return g.step(widened)
-
-        return Propagator(merged, step)
+        return _mapped(g, merged, lambda entry: entry.merged({x2: entry[x1]}), _same)
 
     def act_out_split(gen, g: Propagator) -> Propagator:
         box, y1, y2 = gen.params
-        inner = Box(box.inputs, box.outputs.quotient([y1, y2]))
-        require_box(g, inner)
-
-        def step(profile: Profile) -> Vec:
-            val = g.step(profile)
-            return val.merged({y1: val[y1], y2: val[y1]})
-
-        return Propagator(box, step)
+        require_box(g, Box(box.inputs, box.outputs.quotient([y1, y2])))
+        return _mapped(g, box, _same, lambda val: val.merged({y2: val[y1]}))
 
     def act_wasted(gen, g: Propagator) -> Propagator:
         box, y = gen.params
-        inner = Box(box.inputs.remove([y]), box.outputs)
-        require_box(g, inner)
-
-        def step(profile: Profile) -> Vec:
-            return g.step(tuple(entry.without(y) for entry in profile))
-
-        return Propagator(box, step)
+        require_box(g, Box(box.inputs.remove([y]), box.outputs))
+        return _mapped(g, box, lambda entry: entry.without(y), _same)
 
     from wiring_operads.wd_presentation import (
         DELAY_NODE,

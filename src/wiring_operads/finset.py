@@ -43,13 +43,18 @@ class FinSet:
     """
 
     pairs: tuple[tuple[str, Value], ...]
+    # identifier -> value, built once; private so it is never handed out mutable
+    _index: dict[str, Value] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen = set()
-        for ident, _value in self.pairs:
-            if ident in seen:
-                raise ValueError(f"duplicate identifier {ident!r} in FinSet")
-            seen.add(ident)
+        index = dict(self.pairs)
+        if len(index) != len(self.pairs):
+            seen = set()
+            for ident, _value in self.pairs:
+                if ident in seen:
+                    raise ValueError(f"duplicate identifier {ident!r} in FinSet")
+                seen.add(ident)
+        object.__setattr__(self, "_index", index)
 
     @staticmethod
     def of(mapping: Mapping[str, Value] | Iterable[tuple[str, Value]]) -> FinSet:
@@ -62,16 +67,12 @@ class FinSet:
 
     def value(self, element: str) -> Value:
         try:
-            return self.as_dict[element]
+            return self._index[element]
         except KeyError:
             raise KeyError(f"{element!r} is not an element of this FinSet") from None
 
-    @property
-    def as_dict(self) -> dict[str, Value]:
-        return dict(self.pairs)
-
     def __contains__(self, element: object) -> bool:
-        return any(e == element for e, _ in self.pairs)
+        return element in self._index
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.elements)
@@ -82,7 +83,7 @@ class FinSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinSet):
             return NotImplemented
-        return self.as_dict == other.as_dict
+        return self._index == other._index
 
     def __hash__(self) -> int:
         return hash(frozenset(self.pairs))
@@ -177,7 +178,7 @@ class FinMap:
     table: Mapping[str, str] = field(compare=False)
 
     def __post_init__(self) -> None:
-        target = self.target.as_dict
+        target = self.target._index
         for x, v in self.source.pairs:
             if x not in self.table:
                 raise ValueError(f"map is not total: missing {x!r}")
@@ -244,7 +245,7 @@ def identify(fs: FinSet, pairs: Iterable[tuple[str, str]]) -> tuple[FinSet, dict
     classes: dict[str, list[str]] = {}
     for e in parent:
         classes.setdefault(find(e), []).append(e)
-    values = fs.as_dict
+    values = fs._index
     rep_of: dict[str, str] = {}
     for members in classes.values():
         distinct = {values[m] for m in members}

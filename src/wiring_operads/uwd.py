@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from wiring_operads.finset import FinMap, FinSet, Permutation, Value, pushout
@@ -32,6 +33,11 @@ class UndirectedWiringDiagram:
     input_solder: Mapping[InWire, str]
     output_solder: Mapping[str, str]
 
+    def __post_init__(self) -> None:
+        # Read-only copies, so the solders validated by make_uwd stay valid.
+        object.__setattr__(self, "input_solder", MappingProxyType(dict(self.input_solder)))
+        object.__setattr__(self, "output_solder", MappingProxyType(dict(self.output_solder)))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedWiringDiagram):
             return NotImplemented
@@ -39,8 +45,8 @@ class UndirectedWiringDiagram:
             self.input_boxes == other.input_boxes
             and self.output_box == other.output_box
             and self.cables == other.cables
-            and dict(self.input_solder) == dict(other.input_solder)
-            and dict(self.output_solder) == dict(other.output_solder)
+            and self.input_solder == other.input_solder
+            and self.output_solder == other.output_solder
         )
 
     def in_wires(self) -> list[InWire]:
@@ -71,7 +77,7 @@ def make_uwd(
     output_solder: Mapping[str, str],
 ) -> UWD:
     """Validate the two solder maps (totality, targets, value match)."""
-    uwd = UWD(tuple(input_boxes), output_box, cables, dict(input_solder), dict(output_solder))
+    uwd = UWD(tuple(input_boxes), output_box, cables, input_solder, output_solder)
     for i, box in enumerate(uwd.input_boxes, start=1):
         for w in box:
             if (i, w) not in uwd.input_solder:
@@ -114,7 +120,7 @@ def permute_u(uwd: UWD, sigma: Permutation) -> UWD:
     boxes = tuple(sigma.apply(list(uwd.input_boxes)))
     inv = sigma.inverse()
     solder = {(inv(i), w): c for (i, w), c in uwd.input_solder.items()}
-    return UWD(boxes, uwd.output_box, uwd.cables, solder, dict(uwd.output_solder))
+    return UWD(boxes, uwd.output_box, uwd.cables, solder, uwd.output_solder)
 
 
 def comp_i_u(phi: UWD, i: int, psi: UWD) -> UWD:
@@ -133,7 +139,7 @@ def comp_i_u(phi: UWD, i: int, psi: UWD) -> UWD:
     box = phi.input_boxes[i - 1]
     cables, left, right = pushout(
         FinMap(box, phi.cables, {w: phi.input_solder[(i, w)] for w in box}),
-        FinMap(box, psi.cables, dict(psi.output_solder)),
+        FinMap(box, psi.cables, psi.output_solder),
     )
 
     r = len(psi.input_boxes)
@@ -317,6 +323,6 @@ def change_of_values_uwd(f: Callable[[Value], Value], uwd: UWD) -> UWD:
         tuple(fs(b) for b in uwd.input_boxes),
         fs(uwd.output_box),
         fs(uwd.cables),
-        dict(uwd.input_solder),
-        dict(uwd.output_solder),
+        uwd.input_solder,
+        uwd.output_solder,
     )

@@ -28,7 +28,6 @@ starting on the box the previous one ended on; the leading name change
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -45,7 +44,7 @@ from wiring_operads.simplex import (
     two_cell_tower,
 )
 from wiring_operads.uwd import UWD, comp_i_u, make_uwd, permute_u
-from wiring_operads.wd_presentation import InvalidParamsError
+from wiring_operads.wd_presentation import InvalidParamsError, _Scene
 
 EMPTY_CELL = "empty_cell"
 OUTPUT_WIRE = "output_wire"
@@ -334,58 +333,43 @@ def elementary_relation_u(rel_id: int | str, params: Mapping) -> tuple[Simplex, 
     raise InvalidParamsError(f"unknown relation id {rel_id!r}")
 
 
-class _USCene:
-    def __init__(self, rng):
-        self.rng = rng
-        self.counter = itertools.count()
-
-    def wires(self, n: int, value: Value | None = None) -> dict[str, Value]:
-        return {
-            f"w{next(self.counter)}": value if value is not None else self.rng.choice("ab")
-            for _ in range(n)
-        }
-
-    def finset(self, extra: int = 2, **required) -> FinSet:
-        wires = dict(required.get("wires", {}))
-        wires.update(self.wires(self.rng.randrange(extra + 1)))
-        return FinSet.of(wires)
-
-    def renaming_of(self, box: FinSet) -> UWDGenerator:
-        table = {w: f"w{next(self.counter)}" for w in box}
-        target = FinSet.of({table[w]: box.value(w) for w in box})
-        return u_name_change(box, target, table)
+def _renaming_u(sc: _Scene, box: FinSet) -> UWDGenerator:
+    table = {w: sc.name() for w in box}
+    target = FinSet.of({table[w]: box.value(w) for w in box})
+    return u_name_change(box, target, table)
 
 
 def random_relation_params_u(rel_id: int | str, rng) -> dict:
     if isinstance(rel_id, int):
         rel_id = U_RELATION_IDS[rel_id - 1]
-    sc = _USCene(rng)
+    sc = _Scene(rng)
+    va, vb = sc.values
 
     if rel_id == "a1":
         x = sc.finset(3)
-        first = sc.renaming_of(x)
-        return {"first": first, "second": sc.renaming_of(first.params[1])}
+        first = _renaming_u(sc, x)
+        return {"first": first, "second": _renaming_u(sc, first.params[1])}
     if rel_id == "a2":
         w = next(iter(sc.wires(1)))
         t = next(iter(sc.wires(1)))
-        return {"wire": w, "value": rng.choice("ab"), "target": t}
+        return {"wire": w, "value": rng.choice(sc.values), "target": t}
     if rel_id == "a3":
-        return {"first": sc.renaming_of(sc.finset(3)), "second": sc.renaming_of(sc.finset(3))}
+        return {"first": _renaming_u(sc, sc.finset(3)), "second": _renaming_u(sc, sc.finset(3))}
     if rel_id == "a4":
-        pair = list(sc.wires(2, "a"))
-        box = sc.finset(2, wires={pair[0]: "a", pair[1]: "a"})
-        return {"change": sc.renaming_of(box), "x_plus": pair[0], "x_minus": pair[1]}
+        pair = list(sc.wires(2, va))
+        box = sc.finset(2, wires={pair[0]: va, pair[1]: va})
+        return {"change": _renaming_u(sc, box), "x_plus": pair[0], "x_minus": pair[1]}
     if rel_id == "a5":
-        pair = list(sc.wires(2, "a"))
-        box = sc.finset(2, wires={pair[0]: "a", pair[1]: "a"})
-        return {"change": sc.renaming_of(box), "x1": pair[0], "x2": pair[1]}
+        pair = list(sc.wires(2, va))
+        box = sc.finset(2, wires={pair[0]: va, pair[1]: va})
+        return {"change": _renaming_u(sc, box), "x1": pair[0], "x2": pair[1]}
     if rel_id == "b1":
-        pair = list(sc.wires(2, "a"))
-        box = sc.finset(2, wires={pair[0]: "a", pair[1]: "a"})
+        pair = list(sc.wires(2, va))
+        box = sc.finset(2, wires={pair[0]: va, pair[1]: va})
         return {"box": box, "x": pair[0], "y": pair[1]}
     if rel_id == "b2":
-        trio = list(sc.wires(3, "a"))
-        box = sc.finset(2, wires={t: "a" for t in trio})
+        trio = list(sc.wires(3, va))
+        box = sc.finset(2, wires={t: va for t in trio})
         return {"box": box, "w": trio[0], "x": trio[1], "y": trio[2]}
     if rel_id == "c1":
         return {"box": sc.finset(3)}
@@ -395,34 +379,34 @@ def random_relation_params_u(rel_id: int | str, rng) -> dict:
             out["z"] = sc.finset(2)
         return out
     if rel_id == "c4":
-        pair = list(sc.wires(2, "a"))
-        y = sc.finset(2, wires={pair[0]: "a", pair[1]: "a"})
+        pair = list(sc.wires(2, va))
+        y = sc.finset(2, wires={pair[0]: va, pair[1]: va})
         return {"x": sc.finset(2), "y": y, "y_plus": pair[0], "y_minus": pair[1]}
     if rel_id == "c5":
-        pair = list(sc.wires(2, "a"))
-        y = sc.finset(2, wires={pair[0]: "a", pair[1]: "a"})
+        pair = list(sc.wires(2, va))
+        y = sc.finset(2, wires={pair[0]: va, pair[1]: va})
         return {"x": sc.finset(2), "y": y, "y1": pair[0], "y2": pair[1]}
     if rel_id == "d1":
-        ys = list(sc.wires(2, "a"))
-        zs = list(sc.wires(2, "b"))
-        x = sc.finset(2, wires={ys[0]: "a", ys[1]: "a", zs[0]: "b", zs[1]: "b"})
+        ys = list(sc.wires(2, va))
+        zs = list(sc.wires(2, vb))
+        x = sc.finset(2, wires={ys[0]: va, ys[1]: va, zs[0]: vb, zs[1]: vb})
         return {"x": x, "y1": ys[0], "y2": ys[1], "z1": zs[0], "z2": zs[1]}
     if rel_id == "d2":
-        trio = list(sc.wires(3, "a"))
-        y = sc.finset(2, wires={t: "a" for t in trio})
+        trio = list(sc.wires(3, va))
+        y = sc.finset(2, wires={t: va for t in trio})
         return {"y": y, "y1": trio[0], "y2": trio[1], "y3": trio[2]}
     if rel_id == "d3":
-        ys = list(sc.wires(2, "a"))
-        xs = list(sc.wires(2, "b"))
-        yp = sc.finset(2, wires={ys[0]: "a", ys[1]: "a", xs[0]: "b", xs[1]: "b"})
+        ys = list(sc.wires(2, va))
+        xs = list(sc.wires(2, vb))
+        yp = sc.finset(2, wires={ys[0]: va, ys[1]: va, xs[0]: vb, xs[1]: vb})
         return {"y_prime": yp, "y1": ys[0], "y2": ys[1], "x_plus": xs[0], "x_minus": xs[1]}
     if rel_id == "d4":
-        trio = list(sc.wires(3, "a"))
-        w = sc.finset(2, wires={t: "a" for t in trio})
+        trio = list(sc.wires(3, va))
+        w = sc.finset(2, wires={t: va for t in trio})
         return {"w": w, "y": trio[0], "x_plus": trio[1], "x_minus": trio[2]}
     if rel_id == "e1":
-        quad = list(sc.wires(2, "a")) + list(sc.wires(2, "b"))
-        x = sc.finset(2, wires={quad[0]: "a", quad[1]: "a", quad[2]: "b", quad[3]: "b"})
+        quad = list(sc.wires(2, va)) + list(sc.wires(2, vb))
+        x = sc.finset(2, wires={quad[0]: va, quad[1]: va, quad[2]: vb, quad[3]: vb})
         return {"x": x, "x1": quad[0], "x2": quad[1], "x3": quad[2], "x4": quad[3]}
     raise InvalidParamsError(f"unknown relation id {rel_id!r}")
 
@@ -497,7 +481,7 @@ def split_psi(uwd: UWD) -> tuple[UWD, UWD]:
         solder1[(1, injs[n + 2](c))] = c
     for c in one_zero:
         solder1[(1, injs[n + 3](c))] = c
-    psi1 = make_uwd([z_box], uwd.output_box, uwd.cables, solder1, dict(uwd.output_solder))
+    psi1 = make_uwd([z_box], uwd.output_box, uwd.cables, solder1, uwd.output_solder)
     return psi1, psi2
 
 

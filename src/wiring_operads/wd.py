@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from wiring_operads.finset import EMPTY, FinSet, Permutation, Value, coproduct
@@ -69,6 +70,11 @@ class WiringDiagram:
     delay_nodes: FinSet
     supplier: Mapping[Address, Address]
 
+    def __post_init__(self) -> None:
+        # A read-only copy: a supplier changed after validation could break
+        # non-instantaneity or value matching unnoticed.
+        object.__setattr__(self, "supplier", MappingProxyType(dict(self.supplier)))
+
     # -- addressing ------------------------------------------------------
 
     def demands(self) -> list[Address]:
@@ -108,7 +114,7 @@ class WiringDiagram:
             self.input_boxes == other.input_boxes
             and self.output_box == other.output_box
             and self.delay_nodes == other.delay_nodes
-            and dict(self.supplier) == dict(other.supplier)
+            and self.supplier == other.supplier
         )
 
     def supplier_image(self) -> set[Address]:
@@ -135,10 +141,10 @@ def make_wd(
     Raises ValueError subclasses for a partial or dangling supplier, a value
     mismatch, or a non-instantaneity violation.
     """
-    wd = WiringDiagram(tuple(input_boxes), output_box, delay_nodes, dict(supplier))
+    wd = WiringDiagram(tuple(input_boxes), output_box, delay_nodes, supplier)
     demands = wd.demands()
     supplies = set(wd.supplies())
-    table = dict(supplier)
+    table = wd.supplier
     extra = set(table) - set(demands)
     if extra:
         raise ValueError(f"supplier defined on non-demand addresses {sorted(extra)}")
@@ -508,4 +514,4 @@ def change_of_values_wd(f: Callable[[Value], Value], wd: WiringDiagram) -> Wirin
 
     boxes = tuple(Box(fs(b.inputs), fs(b.outputs)) for b in wd.input_boxes)
     out = Box(fs(wd.output_box.inputs), fs(wd.output_box.outputs))
-    return WiringDiagram(boxes, out, fs(wd.delay_nodes), dict(wd.supplier))
+    return WiringDiagram(boxes, out, fs(wd.delay_nodes), wd.supplier)

@@ -560,30 +560,39 @@ def elementary_relation(rel_id: int | str, params: Mapping) -> tuple[Simplex, Si
 
 
 class _Scene:
-    """Fresh-name supply for randomized relation parameters."""
+    """Fresh-name supply for randomized relation parameters, directed and
+    undirected: every wire is named ``w<k>`` from one counter."""
 
     def __init__(self, rng, values: Sequence[Value] = ("a", "b")):
         self.rng = rng
         self.values = tuple(values)
         self.counter = itertools.count()
 
+    def name(self) -> str:
+        return f"w{next(self.counter)}"
+
     def wires(self, n: int, value: Value | None = None) -> dict[str, Value]:
         return {
-            f"w{next(self.counter)}": value if value is not None else self.rng.choice(self.values)
+            self.name(): value if value is not None else self.rng.choice(self.values)
             for _ in range(n)
         }
 
+    def finset(self, extra: int = 2, wires: Mapping[str, Value] | None = None) -> FinSet:
+        """``wires`` plus up to ``extra`` fresh ones of random values."""
+        out = dict(wires or {})
+        out.update(self.wires(self.rng.randrange(extra + 1)))
+        return FinSet.of(out)
+
     def box(self, extra_in: int = 0, extra_out: int = 0, **required) -> Box:
-        ins = dict(required.get("inputs", {}))
-        outs = dict(required.get("outputs", {}))
-        ins.update(self.wires(self.rng.randrange(extra_in + 1)))
-        outs.update(self.wires(self.rng.randrange(extra_out + 1)))
-        return Box(FinSet.of(ins), FinSet.of(outs))
+        return Box(
+            self.finset(extra_in, required.get("inputs")),
+            self.finset(extra_out, required.get("outputs")),
+        )
 
     def renaming_of(self, box: Box) -> WDGenerator:
-        f_in = {x: f"w{next(self.counter)}" for x in box.inputs}
+        f_in = {x: self.name() for x in box.inputs}
         target_in = {f_in[x]: box.inputs.value(x) for x in box.inputs}
-        inv_out = {y: f"w{next(self.counter)}" for y in box.outputs}
+        inv_out = {y: self.name() for y in box.outputs}
         target_out = {inv_out[y]: box.outputs.value(y) for y in box.outputs}
         f_out = {inv_out[y]: y for y in box.outputs}
         return name_change(box, Box(FinSet.of(target_in), FinSet.of(target_out)), f_in, f_out)

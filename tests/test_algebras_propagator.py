@@ -2,22 +2,26 @@ import random
 
 import pytest
 
-from wiring_operads.algebras.actions import eval_structure_map
-from wiring_operads.algebras.propagator import (
-    PointedSet,
-    Propagator,
+from propagator_replay import (
     double_feedback_history,
     double_loop_propagator,
     feedback_history,
     loop_propagator,
+    replay_action,
+)
+from wiring_operads.algebras.actions import GeneratorAction, eval_structure_map
+from wiring_operads.algebras.propagator import (
+    PointedSet,
+    Propagator,
     propagator_action,
     propagators_agree,
     random_propagator,
     sample_profiles,
 )
 from wiring_operads.algebras.vectors import Vec
+from wiring_operads.finset import FinSet
 from wiring_operads.simplex import Leaf, Node
-from wiring_operads.wd import Box, EMPTY_BOX
+from wiring_operads.wd import Box, EMPTY_BOX, make_wd, random_wd
 from wiring_operads.wd_presentation import (
     RELATION_IDS,
     delay_node,
@@ -127,6 +131,7 @@ def test_double_loop_golden():
 def test_double_loop_agrees_with_iterated_loops():
     rng = random.Random(40)
     alphabets = {"a": PointedSet(("p", "q"), "p"), "b": PointedSet(("x", "y", "z"), "x")}
+    action = propagator_action(alphabets)
     for _ in range(10):
         box = Box.of(
             {"i1": "a", "i2": "b", "i3": "a"}, {"o1": "a", "o2": "b", "o3": "a"}
@@ -135,9 +140,12 @@ def test_double_loop_agrees_with_iterated_loops():
         one_then_two = loop_propagator(loop_propagator(g, "o1", "i1"), "o2", "i2")
         two_then_one = loop_propagator(loop_propagator(g, "o2", "i2"), "o1", "i1")
         both = double_loop_propagator(g, ("o1", "i1"), ("o2", "i2"))
+        inner = action.apply(one_loop(box, "o1", "i1"), (g,))
+        streamed = action.apply(one_loop(inner.box, "o2", "i2"), (inner,))
         profiles = sample_profiles(both.box, alphabets, horizon=5, rng=rng, count=12)
         assert propagators_agree(one_then_two, both, profiles)
         assert propagators_agree(two_then_one, both, profiles)
+        assert propagators_agree(streamed, both, profiles)
 
 
 def test_historicity_of_action_outputs():
@@ -215,3 +223,77 @@ def test_presentation_independence():
         )
         assert propagators_agree(left, right, profiles)
         done += 1
+
+
+def test_stream_composites_agree_with_replay():
+    rng = random.Random(44)
+    stream, replay = propagator_action(ALG_ALPHABETS), replay_action(ALG_ALPHABETS)
+    for _ in range(30):
+        psi = random_wd(rng, max_boxes=3, max_wires=2, max_delay=2)
+        simplex = stratify(psi).to_simplex()
+        inputs = tuple(
+            random_propagator(box, ALG_ALPHABETS, rng) for box in psi.input_boxes
+        )
+        left = eval_structure_map(stream, simplex, inputs)
+        right = eval_structure_map(replay, simplex, inputs)
+        profiles = sample_profiles(psi.output_box, ALG_ALPHABETS, horizon=4, rng=rng, count=6)
+        assert propagators_agree(left, right, profiles)
+
+
+def counting_propagator(box: Box, calls: list) -> Propagator:
+    """Output entry k is k on every wire; each step call is recorded."""
+
+    def step(prefix):
+        calls.append(len(prefix))
+        return Vec({y: len(prefix) for y in box.outputs})
+
+    return Propagator(box, step)
+
+
+def step_only(action: GeneratorAction) -> GeneratorAction:
+    """Every result rewrapped as a propagator given by its step function alone."""
+
+    def wrap(fn):
+        def mapped(gen, *inputs):
+            g = fn(gen, *inputs)
+            return Propagator(g.box, g.step)
+
+        return mapped
+
+    return GeneratorAction({kind: wrap(fn) for kind, fn in action.maps.items()})
+
+
+@pytest.mark.parametrize("horizon", [4, 24])
+@pytest.mark.parametrize("wrapped", [False, True])
+def test_leaf_steps_are_linear_in_horizon(horizon, wrapped):
+    """Box 1 loops onto itself and reaches box 2 through a delay node, which
+    feeds back through a second one; a global output shares its source with
+    a delay node."""
+    numbers = {"N": PointedSet(tuple(range(horizon + 1)), 0)}
+    boxes = [
+        Box.of({"a1": "N", "a2": "N"}, {"p": "N", "q": "N"}),
+        Box.of({"b1": "N", "b2": "N"}, {"r": "N"}),
+    ]
+    diagram = make_wd(
+        boxes,
+        Box.of({"i": "N"}, {"o": "N"}),
+        FinSet.of({"d1": "N", "d2": "N"}),
+        {
+            ("gout", "o"): ("bout", 1, "q"),
+            ("bin", 1, "a1"): ("bout", 1, "p"),
+            ("bin", 1, "a2"): ("dn", "d1"),
+            ("bin", 2, "b1"): ("gin", "i"),
+            ("bin", 2, "b2"): ("dn", "d2"),
+            ("dn", "d1"): ("bout", 2, "r"),
+            ("dn", "d2"): ("bout", 1, "q"),
+        },
+    )
+    action = propagator_action(numbers)
+    if wrapped:
+        action = step_only(action)
+    calls: list = []
+    leaves = [counting_propagator(box, calls) for box in boxes]
+    g = eval_structure_map(action, stratify(diagram).to_simplex(), leaves)
+    out = g(tuple(Vec({"i": t}) for t in range(horizon)))
+    assert [v["o"] for v in out] == list(range(horizon + 1))
+    assert len(calls) == len(boxes) * (horizon + 1)

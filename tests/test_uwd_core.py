@@ -53,6 +53,14 @@ def test_first_picture_census():
     assert census(first_picture()) == expected
 
 
+def test_solders_are_read_only_after_make_uwd():
+    uwd = first_picture()
+    with pytest.raises(TypeError):
+        uwd.input_solder[(1, "x1")] = "c1"
+    with pytest.raises(TypeError):
+        uwd.output_solder["y6"] = "c4"
+
+
 def test_unit_census_and_validation():
     y = FinSet.of({"a": "v", "b": "w"})
     assert census(unit_u(y)) == Counter({(1, 1): 2})

@@ -64,6 +64,17 @@ def test_non_instantaneity_rejected():
         make_wd([], y, EMPTY, {("gout", "b"): ("gin", "a")})
 
 
+def test_supplier_is_read_only_after_make_wd():
+    y = Box.of({"a": "v"}, {"b": "v"})
+    x = Box.of({"p": "v"}, {"q": "v"})
+    table = {("bin", 1, "p"): ("gin", "a"), ("gout", "b"): ("bout", 1, "q")}
+    wd = make_wd([x], y, EMPTY, table)
+    with pytest.raises(TypeError):
+        wd.supplier[("gout", "b")] = ("gin", "a")
+    table[("gout", "b")] = ("gin", "a")
+    assert wd.supplier[("gout", "b")] == ("bout", 1, "q")
+
+
 def test_partial_supplier_and_value_mismatch_rejected():
     y = Box.of({"a": "v"}, {"b": "v"})
     x = Box.of({"p": "v"}, {"q": "w"})
