@@ -265,19 +265,32 @@ def sample_profiles(
 
 def random_propagator(box: Box, alphabets: Mapping[Value, PointedSet], rng) -> Propagator:
     """A pseudo-random propagator: each output entry is drawn reproducibly
-    from the hash of the input prefix."""
+    from a sha256 digest of the whole input prefix, which a run keeps
+    running and extends by one entry per step."""
     import hashlib
 
     salt = rng.randrange(2**32)
+    outputs = [
+        (w, repr(w).encode(), alphabets[box.outputs.value(w)].elements) for w in box.outputs
+    ]
 
-    def step(profile: Profile) -> Vec:
-        out = {}
-        for w in box.outputs:
-            alphabet = alphabets[box.outputs.value(w)].elements
-            digest = hashlib.sha256(
-                repr((salt, w, profile)).encode()
-            ).digest()
-            out[w] = alphabet[digest[0] % len(alphabet)]
-        return Vec(out)
+    def start() -> Stream:
+        running = hashlib.sha256(repr(salt).encode())
 
-    return Propagator(box, step)
+        def emit() -> Vec:
+            out = {}
+            for w, tag, alphabet in outputs:
+                digest = running.copy()
+                digest.update(tag)
+                out[w] = alphabet[digest.digest()[0] % len(alphabet)]
+            return Vec(out)
+
+        def feed(entry: Vec) -> Vec:
+            data = repr(entry).encode()
+            # The length prefix keeps the concatenated entries unambiguous.
+            running.update(len(data).to_bytes(8, "big") + data)
+            return emit()
+
+        return emit(), feed
+
+    return Propagator.streaming(box, start)

@@ -31,6 +31,15 @@ class Vec(Mapping):
     def __len__(self) -> int:
         return len(self._items)
 
+    def __eq__(self, other) -> bool:
+        # Items are sorted by key, so two Vecs are equal exactly when their
+        # item tuples are; ``Mapping.__eq__`` would look up every key.
+        if isinstance(other, Vec):
+            return self._items == other._items
+        if isinstance(other, Mapping):
+            return dict(self._items) == dict(other.items())
+        return NotImplemented
+
     def __hash__(self) -> int:
         return hash(self._items)
 

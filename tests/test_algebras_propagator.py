@@ -159,6 +159,19 @@ def test_historicity_of_action_outputs():
     assert looped.check_historicity(profiles)
 
 
+def test_random_propagator_reads_the_whole_prefix():
+    rng = random.Random(44)
+    alphabets = {"a": PointedSet(("p", "q", "r", "s"), "p")}
+    box = Box.of({"i": "a"}, {"o1": "a", "o2": "a"})
+    g = random_propagator(box, alphabets, rng)
+    tail = tuple(Vec({"i": rng.choice("pqrs")}) for _ in range(40))
+    profiles = [(Vec({"i": head}),) + tail for head in "pqrs"]
+    # Only entry 0 differs, yet the entries 41 steps later differ too.
+    assert len({g(t)[-1] for t in profiles}) > 1
+    assert all(g.step(t) == g(t)[-1] for t in profiles)
+    assert g.check_historicity(profiles)
+
+
 ALG_ALPHABETS = {
     "a": PointedSet(("p", "q"), "p"),
     "b": PointedSet(("x", "y", "z"), "x"),

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from relational_eager import eager_relational_action
 from wiring_operads.algebras.actions import eval_structure_map
 from wiring_operads.algebras.relational import (
     Relation,
@@ -16,6 +18,7 @@ from wiring_operads.algebras.relational import (
 )
 from wiring_operads.algebras.vectors import Vec
 from wiring_operads.finset import FinSet
+from wiring_operads.uwd import make_uwd, random_uwd
 from wiring_operads.uwd_presentation import (
     U_RELATION_IDS,
     elementary_relation_u,
@@ -149,3 +152,102 @@ def test_rigidity_check_matches_bijectivity_exhaustively():
 def test_full_relation_size():
     wires = FinSet.of({"p": "a", "q": "b"})
     assert len(full_relation(wires, ALPHABETS).vectors) == 6
+
+
+def test_vec_equality_compares_keys_and_values():
+    v = Vec({"p": "0", "q": "1"})
+    assert v == Vec(q="1", p="0")
+    assert v == {"p": "0", "q": "1"} and {"q": "1", "p": "0"} == v
+    assert v != Vec({"p": "0", "r": "1"})
+    assert v != Vec({"p": "0", "q": "0"})
+    assert v != Vec({"p": "0"})
+    assert v != {"p": "0", "q": "1", "r": "2"}
+    assert v != ("p", "q")
+
+
+def test_explicit_vectors_must_be_total_on_the_wires():
+    wires = FinSet.of({"p": "a", "q": "a"})
+    Relation.of(wires, [{"p": "0", "q": "1"}])
+    with pytest.raises(ValueError):
+        Relation.of(wires, [{"p": "0"}])
+    with pytest.raises(ValueError):
+        Relation.of(wires, [{"p": "0", "q": "1", "r": "0"}])
+
+
+# The fold's alphabets: one ordinary set, and one with an empty alphabet.
+# Two letters each keep the eager oracle's products small.
+FOLD_ALPHABETS = ({"a": ("0", "1"), "b": ("x", "y")}, {"a": ("0", "1"), "b": ()})
+# Leaf rows may hold "2" and "w", which lie outside every fold alphabet.
+LEAF_ALPHABETS = {"a": ("0", "1", "2"), "b": ("x", "w")}
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), alphabets=st.sampled_from(FOLD_ALPHABETS))
+def test_deferred_fold_equals_eager_fold(seed, alphabets):
+    rng = random.Random(seed)
+    uwd = random_uwd(rng, max_boxes=3, max_wires=2)
+    simplex = stratify_u(uwd).to_simplex()
+    leaves = tuple(random_relation(box, LEAF_ALPHABETS, rng) for box in uwd.input_boxes)
+    deferred = eval_structure_map(typed_relational_action(alphabets), simplex, leaves)
+    eager = eval_structure_map(eager_relational_action(alphabets), simplex, leaves)
+    # Hash before any read of the rows, so it is the deferred form that hashes.
+    assert hash(deferred) == hash(eager)
+    assert deferred == eager
+    assert deferred.wires == uwd.output_box
+    twin = Relation(deferred.wires, deferred.vectors)
+    assert twin == deferred and hash(twin) == hash(deferred)
+
+
+def _query_uwd(atoms, head, idle_value):
+    """A conjunctive query as an undirected diagram: one binary box per
+    atom, one cable per variable, the head soldered to the output box,
+    plus an output-only cable ``free`` and a wasted cable ``idle``."""
+    variables = sorted({x for atom in atoms for x in atom} | set(head.values()))
+    cables = {x: "v" for x in variables} | {"free": "v", "idle": idle_value}
+    boxes = [FinSet.of({"s": "v", "t": "v"}) for _ in atoms]
+    in_solder = {
+        (i, w): x for i, atom in enumerate(atoms, start=1) for w, x in zip(("s", "t"), atom)
+    }
+    out_box = FinSet.of({w: "v" for w in head} | {"free": "v"})
+    out_solder = dict(head) | {"free": "free"}
+    return make_uwd(boxes, out_box, FinSet.of(cables), in_solder, out_solder)
+
+
+def _nested_loop_join(atoms, head, rows, alphabets, idle_value):
+    """Every assignment of every cable, ``free`` and ``idle`` included,
+    kept when each atom holds its pair and read off the head."""
+    variables = sorted({x for atom in atoms for x in atom} | set(head.values()))
+    letters = [alphabets["v"]] * (len(variables) + 1) + [alphabets[idle_value]]
+    answers = set()
+    for combo in itertools.product(*letters):
+        value = dict(zip(variables + ["free", "idle"], combo))
+        if all((value[x], value[y]) in r for (x, y), r in zip(atoms, rows)):
+            row = {w: value[x] for w, x in head.items()} | {"free": value["free"]}
+            answers.add(tuple(sorted(row.items())))
+    return answers
+
+
+PATH5 = ([("x0", "x1"), ("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("x4", "x5")],
+         {"first": "x0", "last": "x5"})
+CYCLE6 = ([(f"y{k}", f"y{(k + 1) % 6}") for k in range(6)], {"top": "y0", "mid": "y3"})
+
+
+@pytest.mark.parametrize("query", [PATH5, CYCLE6], ids=["path5", "cycle6"])
+@pytest.mark.parametrize("idle", [("p", "q"), ()], ids=["idle", "idle_empty"])
+def test_query_answers_match_a_nested_loop_join(query, idle):
+    atoms, head = query
+    alphabets = {"v": ("0", "1", "2", "3"), "u": idle}
+    rng = random.Random(len(atoms))
+    pairs = list(itertools.product(alphabets["v"], repeat=2))
+    rows = [{p for p in pairs if rng.random() < 0.4} for _ in atoms]
+    uwd = _query_uwd(atoms, head, "u")
+    leaves = [
+        Relation.of(box, [{"s": a, "t": b} for a, b in r]) for box, r in zip(uwd.input_boxes, rows)
+    ]
+    answer = eval_structure_map(
+        typed_relational_action(alphabets), stratify_u(uwd).to_simplex(), leaves
+    )
+    got = {tuple(sorted(v.items())) for v in answer.vectors}
+    expected = _nested_loop_join(atoms, head, rows, alphabets, "u")
+    assert got == expected
+    assert bool(got) == bool(idle)
